@@ -298,6 +298,9 @@ class UringState {
   uring::Ring ring;
   std::vector<std::unique_ptr<char[]>> bufs;
   std::vector<int> free_bufs;
+  // Target of the armed wake-pipe read.  Start() arms that read before the
+  // loop thread exists, so the buffer lives as long as the ring.
+  char wake_buf[256];
 };
 
 TcpServer::TcpServer(RpcHandler* handler, Options options)
@@ -358,10 +361,12 @@ Status TcpServer::Start() {
     return ErrStatus(ErrCode::kIo, "cannot create wake pipe");
   }
   // Backend selection: try io_uring when asked, fall back to epoll when the
-  // kernel (or the build) lacks it.  Both backends share everything past the
-  // event loop — dispatch, workers, buffer pool, notify plane.
+  // kernel (or the build) lacks it or refuses the first submission.  Both
+  // backends share everything past the event loop — dispatch, workers,
+  // buffer pool, notify plane.
   uring_active_ = false;
   if (options_.io_backend == IoBackend::kUring) {
+    auto& reg = common::MetricsRegistry::Default();
     auto st = std::make_unique<UringState>();
     if (st->ring.Init(kUringEntries)) {
       st->bufs.reserve(kUringBufCount);
@@ -376,13 +381,19 @@ Status TcpServer::Start() {
         // No fixed buffers: every connection recvs through a spill buffer.
         st->free_bufs.clear();
       }
-      uring_state_ = std::move(st);
-      uring_active_ = true;
-    } else {
-      common::MetricsRegistry::Default()
-          .GetCounter("rpc.tcp_server.uring.fallbacks")
-          .Add();
+      // Arm the multishot accept and the wake read here, on the calling
+      // thread, so a server that reports "uring" has its accept in the
+      // kernel before Start() returns.  The loop thread inherits the ring.
+      if (st->ring.PrepAcceptMultishot(fd, UringData(kUringTagAccept, 0)) &&
+          st->ring.PrepRead(wake_fds_[0], st->wake_buf, sizeof(st->wake_buf),
+                            UringData(kUringTagWake, 0)) &&
+          st->ring.SubmitAndWait(false) == 2) {
+        reg.GetCounter("rpc.tcp_server.uring.sqes").Add(2);
+        uring_state_ = std::move(st);
+        uring_active_ = true;
+      }
     }
+    if (!uring_active_) reg.GetCounter("rpc.tcp_server.uring.fallbacks").Add();
   }
   if (!uring_active_) {
     epoll_fd_ = ::epoll_create1(0);
@@ -1200,7 +1211,6 @@ void TcpServer::UringLoop() {
   UringState& us = *uring_state_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
   std::uint64_t next_conn_id = 1;
-  char wake_buf[256];
   std::vector<std::uint64_t> doomed;
   auto& reg = common::MetricsRegistry::Default();
   common::Counter& sqes = reg.GetCounter("rpc.tcp_server.uring.sqes");
@@ -1246,7 +1256,7 @@ void TcpServer::UringLoop() {
   };
   const auto arm_wake = [&] {
     return prep([&] {
-      return us.ring.PrepRead(wake_fds_[0], wake_buf, sizeof(wake_buf),
+      return us.ring.PrepRead(wake_fds_[0], us.wake_buf, sizeof(us.wake_buf),
                               UringData(kUringTagWake, 0));
     });
   };
@@ -1257,7 +1267,7 @@ void TcpServer::UringLoop() {
     });
   };
 
-  if (!arm_accept() || !arm_wake()) return;  // cannot happen with a fresh SQ
+  // Start() armed the accept and the wake read; only re-arms happen here.
   while (!stop_.load(std::memory_order_acquire)) {
     const int rc = us.ring.SubmitAndWait(true);
     if (rc < 0) {

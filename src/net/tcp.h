@@ -194,7 +194,9 @@ class TcpServer : public Notifier {
   std::size_t notify_sessions() const;
 
   // Bind, listen and spawn the event-loop (and worker) threads.  One Start
-  // per instance.
+  // per instance.  On the uring backend it returns only after the listener's
+  // multishot accept and the wake-pipe read have been submitted to the ring;
+  // a ring that refuses that first submission falls back to epoll.
   Status Start();
   // Close the listening socket and every connection, then join the loop and
   // the workers (queued-but-unstarted requests are dropped).  Idempotent;

@@ -777,6 +777,10 @@ TEST(TcpUringTest, FallbackIsObservableViaCounterAndBackendName) {
   auto& registry = common::MetricsRegistry::Default();
   const std::uint64_t before =
       registry.CounterValue("rpc.tcp_server.uring.fallbacks");
+  // Counters are process-wide: compare against a snapshot, so an earlier
+  // uring server in the same process cannot satisfy the check for this one.
+  const std::uint64_t sqes_before =
+      registry.CounterValue("rpc.tcp_server.uring.sqes");
   EchoHandler handler;
   TcpServer::Options options;
   options.io_backend = IoBackend::kUring;
@@ -784,7 +788,8 @@ TEST(TcpUringTest, FallbackIsObservableViaCounterAndBackendName) {
   ASSERT_TRUE(server.Start().ok());
   if (std::string_view(server.io_backend_name()) == "uring") {
     EXPECT_EQ(registry.CounterValue("rpc.tcp_server.uring.fallbacks"), before);
-    EXPECT_GT(registry.CounterValue("rpc.tcp_server.uring.sqes"), 0u);
+    EXPECT_GT(registry.CounterValue("rpc.tcp_server.uring.sqes"),
+              sqes_before);
   } else {
     EXPECT_EQ(registry.CounterValue("rpc.tcp_server.uring.fallbacks"),
               before + 1);
