@@ -183,7 +183,7 @@ class Driver {
     if (!BlockingCall(*channel, kNode, core::proto::kFmsGetAttr,
                       StatPayload(0))
              .ok()) {
-      // kNotFound during warm-up is fine (files not created yet); transport
+      // kNotFound in warm-up is fine (files not created yet); transport
       // failure is not — but both surface as !ok, so just require a reply.
     }
     return channel;

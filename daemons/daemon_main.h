@@ -78,26 +78,6 @@ inline bool ParseWorkers(const char* name, const std::string& str, int* out) {
   return true;
 }
 
-// Parse a --io-backend value ("epoll" | "uring") into the server option.  An
-// empty string (flag not given) keeps the epoll default.  "uring" is a
-// request, not a guarantee: when the build or kernel lacks io_uring the
-// server falls back to epoll at Start() and bumps
-// rpc.tcp_server.uring.fallbacks.
-inline bool ParseIoBackend(const char* name, const std::string& str,
-                           net::IoBackend* out) {
-  if (str.empty() || str == "epoll") {
-    *out = net::IoBackend::kEpoll;
-    return true;
-  }
-  if (str == "uring") {
-    *out = net::IoBackend::kUring;
-    return true;
-  }
-  std::fprintf(stderr, "%s: bad --io-backend '%s' (want epoll|uring)\n", name,
-               str.c_str());
-  return false;
-}
-
 // Parse a --fault-spec value into a process fault injector.  An empty spec
 // (flag not given) leaves *out null; a malformed spec is reported and
 // rejected.
@@ -317,10 +297,10 @@ inline int RunDaemon(const char* name, net::RpcHandler* handler,
   }
   if (on_serving) on_serving(server);
   // Harnesses locate the port via the LAST colon on this line, so nothing
-  // after it may contain one ("epoll"/"uring" are safe).
-  std::printf("%s: listening on %s:%u (%d workers, %s)\n", name,
+  // after it may contain one.
+  std::printf("%s: listening on %s:%u (%d workers)\n", name,
               server.host().c_str(), unsigned(server.port()),
-              server.workers(), server.io_backend_name());
+              server.workers());
   std::fflush(stdout);
   while (!internal::g_stop) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));

@@ -10,13 +10,6 @@ cmake -B build -S . >/dev/null
 cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-echo "== tier-1: io_uring backend smoke (daemons under --io-backend=uring) =="
-# Spawns a real daemon on the uring event loop and round-trips RPCs.  On a
-# kernel (or build) without io_uring the daemon falls back to epoll, which
-# the test detects from the banner and reports as a clean GTEST_SKIP —
-# either way the run must be green.
-./build/tests/integration/integration_test --gtest_filter='UringBackend*'
-
 echo "== tier-1: overload smoke (fig_overload --short, gated) =="
 # Drives an in-process FMS through peak -> deadline-burst -> 2x sustained
 # overload and enforces the docs/OVERLOAD.md gates: >= 70% of peak goodput
@@ -51,9 +44,22 @@ echo "== tier-1: shard scale-out smoke (fig_shard --short) =="
 # Sim-based 1/2/4-shard sweep of the mkdir/create/rename mix.  The --short
 # run is a correctness smoke (zero failed ops across shard counts); the
 # full `fig_shard` run (saturating client count) is what demonstrates the
-# >= 1.6x 2-shard scale-out recorded in BENCH_shard.json.
+# 2-shard scale-out (1.81x, 2.97x at 4 shards, in BENCH_shard.json).
 cmake --build build -j --target fig_shard >/dev/null
 ./build/bench/fig_shard --short --out build/BENCH_shard_smoke.json
+
+echo "== tier-1: livebench correctness leg (wide_dir, 3 s) =="
+# A short run of the live-daemon benchmark (livebench/README.md): builds its
+# own package, serves from 2 DMS shards + 2 FMS + an OSD, then SIGKILLs and
+# restarts every daemon and checks each client's ledger.  The last stdout
+# line is the JSON result; it must report "correct": true.
+live_last=$(python3 livebench/run.py --workload wide_dir --seed 1 --seconds 3 \
+  --trace 0 | tail -n 1)
+echo "$live_last"
+case "$live_last" in
+  *'"correct": true'*) ;;
+  *) echo "tier1: livebench run did not report \"correct\": true" >&2; exit 1 ;;
+esac
 
 echo "== tier-1: ASan+UBSan pass (net + kv + fs + sim + core + benchlib + integration + chaos + shard + gc soak + notify) =="
 cmake -B build-asan -S . -DLOCO_SANITIZE=ON >/dev/null
@@ -88,7 +94,7 @@ cmake -B build-tsan -S . -DLOCO_SANITIZE=tsan >/dev/null
 cmake --build build-tsan -j --target net_test kvstore_test fs_test \
   sim_test core_test striped_kv_test \
   core_concurrency_test core_housekeeping_test notify_e2e_test >/dev/null
-# net_test exercises both server backends, the client reactor and the
+# net_test exercises the epoll server loop, the client reactor and the
 # worker pool under TSan; core_test adds the batch handler suites over the
 # striped stores, and core_housekeeping_test runs the GcManager scan
 # thread against serving handlers (token bucket, snapshot pins, session

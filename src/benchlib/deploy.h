@@ -136,7 +136,7 @@ bool WriteMetricsJson(const std::string& path);
 // Sweeping benches additionally call Phase(label) at each sweep-point
 // boundary: the dump then becomes {"phases": {label: <delta>...},
 // "totals": <full registry>} where each delta holds only the counters and
-// histograms touched during that phase (per-bucket subtraction), so one run
+// histograms touched in that phase (per-bucket subtraction), so one run
 // yields per-configuration metrics instead of one conflated total.
 class MetricsDump {
  public:

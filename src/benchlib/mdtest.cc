@@ -79,7 +79,7 @@ struct ClientCtx {
   std::unique_ptr<sim::SimChannel> channel;
   std::unique_ptr<fs::FileSystemClient> fsc;
   std::string workdir;
-  std::vector<std::string> setup_chain;  // directories to mkdir during setup
+  std::vector<std::string> setup_chain;  // directories to mkdir at setup
 };
 
 // Run one phase to completion (all clients drain their op lists).

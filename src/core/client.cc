@@ -1089,7 +1089,7 @@ net::Task<Status> LocoClient::RenameAcrossShards(std::string from,
     co_return ErrStatus(ErrCode::kCorruption);
   }
   // The moved root's uuid (the rel == "" entry) identifies *our* transfer at
-  // the destination during the ambiguity probe below.
+  // the destination in the ambiguity probe below.
   fs::Uuid moved_uuid;
   bool have_uuid = false;
   for (const std::string& e : entries) {

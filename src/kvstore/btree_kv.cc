@@ -32,7 +32,7 @@ struct BTreeKV::Inner final : Node {
 
 namespace {
 
-// Result of a node split during insert: `sep` separates the original node
+// Result of a node split on insert: `sep` separates the original node
 // (left) from `right`.
 struct Split {
   std::string sep;

@@ -74,7 +74,7 @@ class RpcHandler {
 // Priority class of a call (mirrors wire::kPriority*): foreground is the
 // serving hot path, background marks housekeeping traffic (GC liveness
 // probes, fsck scans, session keepalives) a saturated server sheds first,
-// control marks admin RPCs that must get through during an overload.
+// control marks admin RPCs that must get through an overload.
 enum class Priority : std::uint8_t {
   kForeground = 0,
   kBackground = 1,

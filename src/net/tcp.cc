@@ -23,7 +23,6 @@
 
 #include "common/codec.h"
 #include "common/rng.h"
-#include "net/uring.h"
 
 namespace loco::net {
 
@@ -33,22 +32,6 @@ constexpr std::size_t kIoChunk = 64 * 1024;
 // Smallest receive window worth a recv() syscall; below this the reader
 // rotates to a fresh arena chunk instead of filling the tail fragment.
 constexpr std::size_t kMinRecvWindow = 4 * 1024;
-
-// io_uring backend sizing: SQ entries and the registered recv-buffer arena.
-// Connections beyond the arena fall back to unregistered per-conn buffers.
-constexpr unsigned kUringEntries = 256;
-constexpr unsigned kUringBufCount = 64;
-
-// user_data layout for uring completions: tag in the low 3 bits, conn id
-// above (conn ids start at 1, so accept/wake use id 0).
-constexpr std::uint64_t kUringTagAccept = 1;
-constexpr std::uint64_t kUringTagWake = 2;
-constexpr std::uint64_t kUringTagRecv = 3;
-constexpr std::uint64_t kUringTagPollOut = 4;
-
-constexpr std::uint64_t UringData(std::uint64_t tag, std::uint64_t conn_id) {
-  return (conn_id << 3) | tag;
-}
 
 // epoll_event.data.u64 tags for the two non-connection descriptors; real
 // connection ids start at 1 and count up, so they can never collide.
@@ -150,7 +133,7 @@ Status SendAll(int fd, std::string_view data, common::Nanos deadline_abs) {
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    return ErrStatus(ErrCode::kUnavailable, "peer closed during send");
+    return ErrStatus(ErrCode::kUnavailable, "peer closed mid-send");
   }
   return OkStatus();
 }
@@ -266,8 +249,8 @@ struct TcpServer::Conn {
   std::size_t out_bytes = 0;
   bool want_write = false;  // EPOLLOUT currently registered
   bool dead = false;        // write side failed; remove on the next pass
-  // Output backlog exceeded the soft cap: reads are paused until the peer
-  // drains its responses (epoll: EPOLLIN dropped; uring: recv not re-armed).
+  // Output backlog exceeded the soft cap: EPOLLIN is dropped until the peer
+  // drains its responses.
   bool read_stalled = false;
   // Hello state (loop thread only).
   std::uint64_t client_id = 0;   // announced identity; 0 = anonymous
@@ -279,28 +262,6 @@ struct TcpServer::Conn {
   std::uint64_t next_flush = 0;  // next seq allowed into `out`
   std::uint64_t inflight = 0;    // dispatched, not yet delivered
   std::map<std::uint64_t, std::string> done;  // finished out-of-order
-  // io_uring backend state (uring loop thread only).  A dead connection is
-  // shutdown() first and closed only after its armed recv/poll completions
-  // drain — closing with a recv in flight would let the kernel write into a
-  // buffer the arena may have handed to a newer connection.
-  // Registered-buffer index; -1 recvs straight into the reader's arena
-  // (zero-copy even under uring, at the cost of unregistered I/O).
-  int ubuf = -1;
-  bool recv_armed = false;
-  bool pollout_armed = false;
-  bool shutdown_sent = false;
-};
-
-// io_uring backend state: the ring plus the registered recv-buffer arena.
-// Namespace-scope (tcp.h forward-declares it as `class UringState`).
-class UringState {
- public:
-  uring::Ring ring;
-  std::vector<std::unique_ptr<char[]>> bufs;
-  std::vector<int> free_bufs;
-  // Target of the armed wake-pipe read.  Start() arms that read before the
-  // loop thread exists, so the buffer lives as long as the ring.
-  char wake_buf[256];
 };
 
 TcpServer::TcpServer(RpcHandler* handler, Options options)
@@ -360,58 +321,21 @@ Status TcpServer::Start() {
     }
     return ErrStatus(ErrCode::kIo, "cannot create wake pipe");
   }
-  // Backend selection: try io_uring when asked, fall back to epoll when the
-  // kernel (or the build) lacks it or refuses the first submission.  Both
-  // backends share everything past the event loop — dispatch, workers,
-  // buffer pool, notify plane.
-  uring_active_ = false;
-  if (options_.io_backend == IoBackend::kUring) {
-    auto& reg = common::MetricsRegistry::Default();
-    auto st = std::make_unique<UringState>();
-    if (st->ring.Init(kUringEntries)) {
-      st->bufs.reserve(kUringBufCount);
-      std::vector<struct iovec> iovs(kUringBufCount);
-      for (unsigned i = 0; i < kUringBufCount; ++i) {
-        st->bufs.push_back(std::make_unique<char[]>(kIoChunk));
-        iovs[i].iov_base = st->bufs.back().get();
-        iovs[i].iov_len = kIoChunk;
-        st->free_bufs.push_back(static_cast<int>(i));
-      }
-      if (!st->ring.RegisterBuffers(iovs.data(), kUringBufCount)) {
-        // No fixed buffers: every connection recvs through a spill buffer.
-        st->free_bufs.clear();
-      }
-      // Arm the multishot accept and the wake read here, on the calling
-      // thread, so a server that reports "uring" has its accept in the
-      // kernel before Start() returns.  The loop thread inherits the ring.
-      if (st->ring.PrepAcceptMultishot(fd, UringData(kUringTagAccept, 0)) &&
-          st->ring.PrepRead(wake_fds_[0], st->wake_buf, sizeof(st->wake_buf),
-                            UringData(kUringTagWake, 0)) &&
-          st->ring.SubmitAndWait(false) == 2) {
-        reg.GetCounter("rpc.tcp_server.uring.sqes").Add(2);
-        uring_state_ = std::move(st);
-        uring_active_ = true;
-      }
+  epoll_fd_ = ::epoll_create1(0);
+  if (epoll_fd_ < 0) {
+    ::close(fd);
+    for (int& w : wake_fds_) {
+      ::close(w);
+      w = -1;
     }
-    if (!uring_active_) reg.GetCounter("rpc.tcp_server.uring.fallbacks").Add();
+    return ErrStatus(ErrCode::kIo, "cannot create epoll instance");
   }
-  if (!uring_active_) {
-    epoll_fd_ = ::epoll_create1(0);
-    if (epoll_fd_ < 0) {
-      ::close(fd);
-      for (int& w : wake_fds_) {
-        ::close(w);
-        w = -1;
-      }
-      return ErrStatus(ErrCode::kIo, "cannot create epoll instance");
-    }
-    struct epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = kListenTag;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    ev.data.u64 = kWakeTag;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fds_[0], &ev);
-  }
+  struct epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kListenTag;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+  ev.data.u64 = kWakeTag;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fds_[0], &ev);
   listen_fd_ = fd;
   stop_.store(false, std::memory_order_release);
   queue_stop_ = false;
@@ -426,8 +350,7 @@ Status TcpServer::Start() {
     workers_.emplace_back(&TcpServer::WorkerMain, this,
                           static_cast<std::size_t>(i));
   }
-  thread_ = uring_active_ ? std::thread(&TcpServer::UringLoop, this)
-                          : std::thread(&TcpServer::Loop, this);
+  thread_ = std::thread(&TcpServer::Loop, this);
   auto& reg = common::MetricsRegistry::Default();
   gauges_.push_back(reg.RegisterGauge(
       "rpc.tcp_server.workers",
@@ -469,8 +392,6 @@ void TcpServer::Stop() {
   listen_fd_ = -1;
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   epoll_fd_ = -1;
-  uring_state_.reset();
-  uring_active_ = false;
   for (int& w : wake_fds_) {
     if (w >= 0) ::close(w);
     w = -1;
@@ -690,7 +611,7 @@ void TcpServer::AdmitWork(Conn* conn, Work&& work) {
   {
     std::scoped_lock lock(queue_mu_);
     // Control traffic is exempt from the cap: the load-status probe and its
-    // kin must get through during the very overload they diagnose.
+    // kin must get through in the very overload they diagnose.
     const std::size_t bounded = queues_[wire::kPriorityForeground].size() +
                                 queues_[wire::kPriorityBackground].size();
     const bool full =
@@ -1197,190 +1118,6 @@ void TcpServer::Loop() {
     }
     for (const std::uint64_t id : doomed) CloseConn(&conns, id);
     for (const auto& [id, conn] : conns) SyncWriteInterest(conn.get());
-  }
-  for (const auto& [id, conn] : conns) ::close(conn->fd);
-}
-
-void TcpServer::UringLoop() {
-  // io_uring backend (docs/NET.md "I/O backends").  One completion ring
-  // replaces epoll_wait + per-fd recv: the listener runs a multishot accept,
-  // every connection keeps one recv armed into a registered buffer, and
-  // write interest is a one-shot POLLOUT armed only while output is queued.
-  // Dispatch (DrainFrames/Execute/workers), write batching (FlushWrites),
-  // and the notify plane are shared verbatim with the epoll loop.
-  UringState& us = *uring_state_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
-  std::uint64_t next_conn_id = 1;
-  std::vector<std::uint64_t> doomed;
-  auto& reg = common::MetricsRegistry::Default();
-  common::Counter& sqes = reg.GetCounter("rpc.tcp_server.uring.sqes");
-  common::Counter& cqes = reg.GetCounter("rpc.tcp_server.uring.cqes");
-  common::Counter& accepts = reg.GetCounter("rpc.tcp_server.uring.accepts");
-  common::Counter& fixed_reads =
-      reg.GetCounter("rpc.tcp_server.uring.fixed_reads");
-
-  // SQ-full is transient: flush queued SQEs and retry once.
-  const auto prep = [&](auto&& fn) {
-    if (fn()) {
-      sqes.Add();
-      return true;
-    }
-    (void)us.ring.SubmitAndWait(false);
-    if (fn()) {
-      sqes.Add();
-      return true;
-    }
-    return false;
-  };
-  const auto arm_recv = [&](Conn* conn) {
-    const std::uint64_t ud = UringData(kUringTagRecv, conn->id);
-    bool ok = false;
-    if (conn->ubuf >= 0) {
-      char* buf = us.bufs[static_cast<std::size_t>(conn->ubuf)].get();
-      ok = prep([&] {
-        return us.ring.PrepReadFixed(conn->fd, buf, kIoChunk,
-                                     static_cast<unsigned>(conn->ubuf), ud);
-      });
-      if (ok) fixed_reads.Add();
-    } else {
-      // No registered buffer free: recv straight into the reader's arena
-      // (zero-copy decode).  The region is stable until the matching Commit
-      // — only this loop touches the reader, and one recv is armed at a
-      // time, so nothing rotates the chunk under the kernel.
-      std::size_t capacity = 0;
-      char* dst = conn->reader.RecvInto(kMinRecvWindow, &capacity);
-      ok = prep([&] { return us.ring.PrepRecv(conn->fd, dst, capacity, ud); });
-    }
-    conn->recv_armed = ok;
-    if (!ok) conn->dead = true;
-  };
-  const auto arm_wake = [&] {
-    return prep([&] {
-      return us.ring.PrepRead(wake_fds_[0], us.wake_buf, sizeof(us.wake_buf),
-                              UringData(kUringTagWake, 0));
-    });
-  };
-  const auto arm_accept = [&] {
-    return prep([&] {
-      return us.ring.PrepAcceptMultishot(listen_fd_,
-                                         UringData(kUringTagAccept, 0));
-    });
-  };
-
-  // Start() armed the accept and the wake read; only re-arms happen here.
-  while (!stop_.load(std::memory_order_acquire)) {
-    const int rc = us.ring.SubmitAndWait(true);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    bool accept_rearm = false;
-    bool wake_rearm = false;
-    uring::Cqe cqe;
-    while (us.ring.PopCqe(&cqe)) {
-      cqes.Add();
-      const std::uint64_t tag = cqe.user_data & 7;
-      const std::uint64_t cid = cqe.user_data >> 3;
-      if (tag == kUringTagAccept) {
-        if (!uring::CqeHasMore(cqe)) accept_rearm = true;
-        if (cqe.res < 0) continue;  // transient accept failure
-        const int fd = cqe.res;
-        SetNoDelay(fd);
-        auto conn = std::make_unique<Conn>(fd, next_conn_id++,
-                                           options_.max_payload_bytes);
-        if (!us.free_bufs.empty()) {
-          conn->ubuf = us.free_bufs.back();
-          us.free_bufs.pop_back();
-        }
-        Conn* raw = conn.get();
-        conns.emplace(raw->id, std::move(conn));
-        accepts.Add();
-        arm_recv(raw);
-      } else if (tag == kUringTagWake) {
-        wake_rearm = true;  // payload is opaque; completions drain below
-      } else if (tag == kUringTagRecv) {
-        const auto it = conns.find(cid);
-        if (it == conns.end()) continue;
-        Conn* conn = it->second.get();
-        conn->recv_armed = false;
-        if (cqe.res > 0) {
-          if (conn->ubuf >= 0) {
-            conn->reader.Append(std::string_view(
-                us.bufs[static_cast<std::size_t>(conn->ubuf)].get(),
-                static_cast<std::size_t>(cqe.res)));
-          } else {
-            conn->reader.Commit(static_cast<std::size_t>(cqe.res));
-          }
-          if (!conn->dead && !DrainFrames(conn)) conn->dead = true;
-          if (!conn->dead && conn->out_bytes > 0 && !FlushWrites(conn)) {
-            conn->dead = true;
-          }
-          // Re-armed in the end-of-round reconcile below, where the output
-          // backlog (including responses workers deliver this round) decides
-          // whether the reader must stall.
-        } else if (cqe.res != -EAGAIN && cqe.res != -EINTR) {
-          conn->dead = true;  // orderly close (0) or hard error
-        }
-      } else if (tag == kUringTagPollOut) {
-        const auto it = conns.find(cid);
-        if (it == conns.end()) continue;
-        Conn* conn = it->second.get();
-        conn->pollout_armed = false;
-        if (!conn->dead && !FlushWrites(conn)) conn->dead = true;
-      }
-    }
-    if (options_.workers > 0) DeliverCompletions(conns);
-    DrainNotify(conns);
-    // Reconcile write interest: anything still backlogged gets a one-shot
-    // POLLOUT (the uring analogue of SyncWriteInterest).
-    for (const auto& [id, conn] : conns) {
-      if (conn->dead || conn->out_bytes == 0 || conn->pollout_armed) continue;
-      if (prep([&] {
-            return us.ring.PrepPollOutOneshot(
-                conn->fd, UringData(kUringTagPollOut, conn->id));
-          })) {
-        conn->pollout_armed = true;
-      }
-    }
-    // Re-arm receives — the uring analogue of SyncWriteInterest's EPOLLIN
-    // gate: a connection whose output backlog exceeds the soft cap keeps its
-    // recv unarmed until the peer drains responses (the POLLOUT above wakes
-    // the loop as that happens).
-    for (const auto& [id, conn] : conns) {
-      if (conn->dead || conn->recv_armed) continue;
-      const bool stall = options_.max_conn_output_bytes > 0 &&
-                         conn->out_bytes > options_.max_conn_output_bytes;
-      if (stall) {
-        if (!conn->read_stalled) {
-          conn->read_stalled = true;
-          read_stall_metric_->Add();
-          read_stall_total_.fetch_add(1, std::memory_order_relaxed);
-        }
-        continue;
-      }
-      conn->read_stalled = false;
-      arm_recv(conn.get());
-    }
-    // Reap failed connections.  The kernel may still own an armed recv or
-    // poll on the fd: shutdown() forces those completions, and the close is
-    // deferred until they drain — closing early would hand the registered
-    // buffer back to the arena while the kernel can still write into it.
-    doomed.clear();
-    for (const auto& [id, conn] : conns) {
-      if (!conn->dead) continue;
-      if (!conn->shutdown_sent) {
-        ::shutdown(conn->fd, SHUT_RDWR);
-        conn->shutdown_sent = true;
-      }
-      if (!conn->recv_armed && !conn->pollout_armed) doomed.push_back(id);
-    }
-    for (const std::uint64_t id : doomed) {
-      const auto it = conns.find(id);
-      if (it->second->ubuf >= 0) us.free_bufs.push_back(it->second->ubuf);
-      CloseConn(&conns, id);  // epoll_ctl on fd -1 is a harmless no-op here
-    }
-    if (wake_rearm && !arm_wake()) break;
-    if (accept_rearm && !arm_accept()) break;
   }
   for (const auto& [id, conn] : conns) ::close(conn->fd);
 }

@@ -93,15 +93,6 @@ bool IsSelfConnected(int fd);
 // Server
 // ---------------------------------------------------------------------------
 
-// Event-loop implementation behind TcpServer (docs/NET.md "I/O backends").
-// kUring requires a kernel with io_uring and a build with LOCO_IOURING; when
-// either is missing the server silently runs the epoll loop instead (the
-// rpc.tcp_server.uring.fallbacks counter records it).
-enum class IoBackend {
-  kEpoll,
-  kUring,
-};
-
 // wire::kCtlLoadStatus reply payload: a point-in-time view of one server's
 // admission state (docs/OVERLOAD.md).  Answered inline by the event loop,
 // so it works against every daemon regardless of handler.
@@ -153,14 +144,10 @@ class TcpServer : public Notifier {
     // the DMS drops the client's lease watches immediately instead of
     // waiting out the expiry sweep).  on_client_disconnect fires when the
     // *last* connection that said hello as `client_id` closes (the client
-    // process is gone: the FMS prunes its file sessions).  Not fired during
+    // process is gone: the FMS prunes its file sessions).  Not fired by
     // server Stop() — shutdown is not a client crash.
     std::function<void(std::uint64_t client_id)> on_notify_disconnect;
     std::function<void(std::uint64_t client_id)> on_client_disconnect;
-    // Event-loop backend (daemons expose this as --io-backend).  Dispatch,
-    // worker pool, response ordering, buffer arena, and the notify plane are
-    // shared; only the readiness/accept/recv machinery differs.
-    IoBackend io_backend = IoBackend::kEpoll;
     // Admission control (docs/OVERLOAD.md): cap on queued-but-unstarted
     // requests across the foreground and background classes together
     // (control traffic is exempt; 0 = unbounded).  At the cap a background
@@ -194,9 +181,7 @@ class TcpServer : public Notifier {
   std::size_t notify_sessions() const;
 
   // Bind, listen and spawn the event-loop (and worker) threads.  One Start
-  // per instance.  On the uring backend it returns only after the listener's
-  // multishot accept and the wake-pipe read have been submitted to the ring;
-  // a ring that refuses that first submission falls back to epoll.
+  // per instance.
   Status Start();
   // Close the listening socket and every connection, then join the loop and
   // the workers (queued-but-unstarted requests are dropped).  Idempotent;
@@ -207,10 +192,6 @@ class TcpServer : public Notifier {
   std::uint16_t port() const noexcept { return port_; }
   const std::string& host() const noexcept { return options_.host; }
   int workers() const noexcept { return options_.workers; }
-  // The backend actually serving (post-fallback): "epoll" or "uring".
-  const char* io_backend_name() const noexcept {
-    return uring_active_ ? "uring" : "epoll";
-  }
   // Requests executed by the handler so far (tests / daemon stats).
   std::uint64_t requests_served() const noexcept {
     return requests_.load(std::memory_order_relaxed);
@@ -270,10 +251,6 @@ class TcpServer : public Notifier {
   };
 
   void Loop();
-  // io_uring event loop: multishot accept, per-connection re-armed recv into
-  // registered buffers, one-shot POLLOUT arming for pending output.  Shares
-  // DrainFrames / FlushWrites / worker delivery / notify drain with Loop().
-  void UringLoop();
   void WorkerMain(std::size_t index);
   // Run the handler for one request: metrics, execution, extra_service_ns
   // charge, response encoding.  The frame is encoded into `buf` (cleared
@@ -343,10 +320,7 @@ class TcpServer : public Notifier {
   RpcHandler* handler_;
   Options options_;
   int listen_fd_ = -1;
-  int epoll_fd_ = -1;  // epoll backend only (-1 under uring)
-  // io_uring backend (forward-declared; null under epoll or after fallback).
-  std::unique_ptr<class UringState> uring_state_;
-  bool uring_active_ = false;
+  int epoll_fd_ = -1;
   int wake_fds_[2] = {-1, -1};  // self-pipe: Stop()/workers wake the event loop
   std::thread thread_;
   std::atomic<bool> running_{false};

@@ -206,10 +206,9 @@ struct PinnedFrame {
 };
 
 // Incremental frame extractor without FrameReader's per-payload copy.  Bytes
-// land directly in refcounted arena chunks — either received in place
-// (RecvInto/Commit) or appended by transports that must receive elsewhere
-// (io_uring registered buffers) — and Next() yields payload views pinned
-// into those chunks.  A chunk returns to the internal pool once the reader
+// land directly in refcounted arena chunks — received in place by
+// TcpServer's loop (RecvInto/Commit), or copied in from a foreign buffer
+// with Append — and Next() yields payload views pinned into those chunks.  A chunk returns to the internal pool once the reader
 // has consumed it and every handler has dropped its pin (use_count == 1),
 // so steady-state traffic recycles a handful of chunks with no allocation.
 // Same latching error contract as FrameReader: the first framing violation

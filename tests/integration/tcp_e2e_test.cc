@@ -230,7 +230,6 @@ TEST_F(TcpClusterTest, BatchedMetadataOpsOverTcp) {
 struct DaemonProcess {
   pid_t pid = -1;
   std::uint16_t port = 0;
-  std::string banner;  // full "listening on" line (names the I/O backend)
 };
 
 // Returns pid -1 when the daemon could not be spawned or parsed.
@@ -270,7 +269,6 @@ DaemonProcess SpawnDaemon(const std::string& binary,
     line.push_back(ch);
   }
   ::close(out_pipe[0]);
-  proc.banner = line;
   const std::size_t colon = line.rfind(':');
   if (colon != std::string::npos) {
     proc.port = static_cast<std::uint16_t>(
@@ -332,68 +330,6 @@ TEST(DaemonTest, DmsdServesRpcsAndDumpsMetricsOnSigterm) {
 
   EXPECT_NE(dump.find("rpc.tcp_server.DmsMkdir.calls"), std::string::npos);
   EXPECT_NE(dump.find("server.dms.kv."), std::string::npos) << dump;
-}
-
-// Uring backend smoke (scripts/tier1.sh runs this filter standalone): spawn
-// a real daemon on --io-backend=uring and round-trip RPCs.  On a kernel or
-// build without io_uring the daemon serves on epoll instead — the banner
-// names the active backend, and the test still requires the RPCs to work
-// before reporting the fallback as a clean skip.
-TEST(UringBackendTest, DmsdServesRpcsOrFallsBackCleanly) {
-  const std::string binary = std::string(LOCO_DAEMON_DIR) + "/locofs_dmsd";
-  if (::access(binary.c_str(), X_OK) != 0) {
-    GTEST_SKIP() << "daemon binary not built: " << binary;
-  }
-  const DaemonProcess daemon = SpawnDaemon(binary, {"--io-backend", "uring"});
-  ASSERT_GT(daemon.pid, 0) << "failed to spawn " << binary;
-  const bool uring = daemon.banner.find("uring") != std::string::npos;
-
-  net::TcpChannel channel;
-  channel.Register(0, "127.0.0.1", daemon.port);
-  net::RpcResponse mkdir_resp;
-  channel.CallAsync(
-      0, core::proto::kDmsMkdir,
-      fs::Pack(std::string("/uring-dir"), std::uint32_t{0755},
-               fs::Identity{1000, 1000}, std::uint64_t{1}),
-      [&](net::RpcResponse r) { mkdir_resp = std::move(r); });
-  EXPECT_EQ(mkdir_resp.code, ErrCode::kOk);
-
-  // Batch opcode through the same daemon: the uring loop shares dispatch
-  // with epoll, so the envelope must round-trip identically.
-  std::vector<std::string> subops;
-  for (int i = 0; i < 8; ++i) {
-    subops.push_back(fs::Pack(std::string("/uring-dir/d") + std::to_string(i),
-                              std::uint32_t{0755}, fs::Identity{1000, 1000},
-                              std::uint64_t{static_cast<std::uint64_t>(i) + 2}));
-  }
-  net::RpcResponse batch_resp;
-  channel.CallAsync(0, core::proto::kDmsBatchMkdir,
-                    net::wire::EncodeBatchRequest(subops),
-                    [&](net::RpcResponse r) { batch_resp = std::move(r); });
-  ASSERT_EQ(batch_resp.code, ErrCode::kOk);
-  std::vector<net::wire::BatchItem> items;
-  ASSERT_TRUE(net::wire::DecodeBatchResponse(batch_resp.payload, &items));
-  ASSERT_EQ(items.size(), subops.size());
-  for (const net::wire::BatchItem& item : items) {
-    EXPECT_EQ(item.code, ErrCode::kOk);
-  }
-
-  net::RpcResponse stat_resp;
-  channel.CallAsync(0, core::proto::kDmsStat,
-                    fs::Pack(std::string("/uring-dir/d3"),
-                             fs::Identity{1000, 1000}),
-                    [&](net::RpcResponse r) { stat_resp = std::move(r); });
-  EXPECT_EQ(stat_resp.code, ErrCode::kOk);
-
-  ASSERT_EQ(::kill(daemon.pid, SIGTERM), 0);
-  int wstatus = 0;
-  ASSERT_EQ(::waitpid(daemon.pid, &wstatus, 0), daemon.pid);
-  EXPECT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0);
-
-  if (!uring) {
-    GTEST_SKIP() << "io_uring unavailable; daemon served on epoll: "
-                 << daemon.banner;
-  }
 }
 
 #endif  // LOCO_DAEMON_DIR

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -315,6 +316,24 @@ TEST(TcpTest, ServerDropsCorruptClientStream) {
   EXPECT_EQ(BlockingCall(channel, 1, 7, "still-alive").code, ErrCode::kOk);
 }
 
+TEST(TcpTest, LargePayloadEchoesByteExact) {
+  // A payload spanning many 64 KiB receive-arena chunks (and many recv()
+  // calls) must reassemble byte-exactly in the server's pinned reader.
+  EchoHandler handler;
+  TcpServer server(&handler);
+  ASSERT_TRUE(server.Start().ok());
+
+  TcpChannel channel;
+  channel.Register(1, server.host(), server.port());
+  std::string big(512 * 1024, '\0');
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>('a' + (i % 23));
+  }
+  const RpcResponse r = BlockingCall(channel, 1, 7, big);
+  ASSERT_EQ(r.code, ErrCode::kOk);
+  EXPECT_EQ(r.payload, big);
+}
+
 TEST(TcpTest, OversizedRequestPayloadRejectedClientSide) {
   EchoHandler handler;
   TcpServer server(&handler);
@@ -608,6 +627,31 @@ TEST(TcpWorkerPoolTest, ExtraServiceTimeOverlapsAcrossWorkers) {
   EXPECT_LT(elapsed.count(), 115) << "charges should overlap, not serialize";
 }
 
+TEST(TcpWorkerPoolTest, StopWhileClientsConnectedShutsDownCleanly) {
+  // Several clients hold live pooled connections to a worker-pool server:
+  // Stop() must not hang on them, and every client then fails cleanly.
+  EchoHandler handler;
+  TcpServer::Options server_options;
+  server_options.workers = 2;
+  TcpServer server(&handler, server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  TcpChannelOptions options;
+  options.connect_attempts = 1;
+  std::vector<std::unique_ptr<TcpChannel>> channels;
+  for (int i = 0; i < 3; ++i) {
+    channels.push_back(std::make_unique<TcpChannel>(options));
+    channels.back()->Register(1, server.host(), server.port());
+    ASSERT_EQ(BlockingCall(*channels.back(), 1, 7, "warm").code,
+              ErrCode::kOk);
+  }
+
+  server.Stop();
+  for (auto& channel : channels) {
+    EXPECT_EQ(BlockingCall(*channel, 1, 7, "x").code, ErrCode::kUnavailable);
+  }
+}
+
 TEST(TcpWorkerPoolTest, WorkerGaugesLiveAndRetired) {
   auto& registry = common::MetricsRegistry::Default();
   EchoHandler handler;
@@ -625,179 +669,6 @@ TEST(TcpWorkerPoolTest, WorkerGaugesLiveAndRetired) {
   // After Stop the gauges retire their final value into the exposition, so
   // a --metrics-out dump records how many workers the server ran with.
   EXPECT_EQ(registry.RetiredGaugeValue("rpc.tcp_server.workers"), 3.0);
-}
-
-// ---------------------------------------------------------------------------
-// io_uring backend, in-process.  The uring loop shares decode/dispatch/encode
-// with epoll, so the channel-visible contract must be identical; when the
-// kernel or build lacks io_uring, Start() falls back to epoll and these
-// skip (the fallback itself is asserted observable via its counter).
-// These also run under ASan/TSan through net_test in scripts/tier1.sh.
-// ---------------------------------------------------------------------------
-
-bool StartOnUring(TcpServer& server) {
-  EXPECT_TRUE(server.Start().ok());
-  return std::string_view(server.io_backend_name()) == "uring";
-}
-
-TEST(TcpUringTest, RoundtripAndErrorsOnUringLoop) {
-  EchoHandler handler;
-  TcpServer::Options options;
-  options.io_backend = IoBackend::kUring;
-  TcpServer server(&handler, options);
-  if (!StartOnUring(server)) GTEST_SKIP() << "io_uring unavailable";
-
-  TcpChannel channel;
-  channel.Register(1, server.host(), server.port());
-  for (int i = 0; i < 50; ++i) {
-    const std::string payload = "u" + std::to_string(i);
-    const RpcResponse r = BlockingCall(channel, 1, 7, payload);
-    ASSERT_EQ(r.code, ErrCode::kOk);
-    ASSERT_EQ(r.payload, payload);
-  }
-  EXPECT_EQ(BlockingCall(channel, 1, 201, "").code, ErrCode::kNotFound);
-  EXPECT_EQ(server.requests_served(), 51u);
-}
-
-TEST(TcpUringTest, PipelinedBurstAcrossWorkersCorrelates) {
-  RecordingHandler handler;  // opcode 50 sleeps, 51 returns immediately
-  TcpServer::Options options;
-  options.io_backend = IoBackend::kUring;
-  options.workers = 2;
-  TcpServer server(&handler, options);
-  if (!StartOnUring(server)) GTEST_SKIP() << "io_uring unavailable";
-
-  TcpChannel channel;
-  channel.Register(1, server.host(), server.port());
-  const std::vector<RpcResponse> rs =
-      channel.CallPipelined(1, {{50, "slow"}, {51, "fast"}});
-  ASSERT_EQ(rs.size(), 2u);
-  EXPECT_EQ(rs[0].payload, "slow");
-  EXPECT_EQ(rs[1].payload, "fast");
-  const std::vector<std::string> order = handler.finished();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], "fast") << "uring loop must still dispatch to the pool";
-}
-
-TEST(TcpUringTest, ConcurrentClientStormAllCallsSucceed) {
-  EchoHandler handler;
-  TcpServer::Options options;
-  options.io_backend = IoBackend::kUring;
-  options.workers = 4;
-  TcpServer server(&handler, options);
-  if (!StartOnUring(server)) GTEST_SKIP() << "io_uring unavailable";
-
-  TcpChannel channel;
-  channel.Register(1, server.host(), server.port());
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&channel, &failures, t] {
-      for (int i = 0; i < 25; ++i) {
-        const std::string payload =
-            "ut" + std::to_string(t) + "-" + std::to_string(i);
-        const RpcResponse r = BlockingCall(channel, 1, 7, payload);
-        if (r.code != ErrCode::kOk || r.payload != payload) {
-          failures.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(server.requests_served(), 100u);
-}
-
-TEST(TcpUringTest, LargePayloadSpansRegisteredBuffers) {
-  // Payloads larger than one registered buffer arrive across many recv
-  // completions and must reassemble byte-exactly in the pinned reader.
-  EchoHandler handler;
-  TcpServer::Options options;
-  options.io_backend = IoBackend::kUring;
-  TcpServer server(&handler, options);
-  if (!StartOnUring(server)) GTEST_SKIP() << "io_uring unavailable";
-
-  TcpChannel channel;
-  channel.Register(1, server.host(), server.port());
-  std::string big(512 * 1024, '\0');
-  for (std::size_t i = 0; i < big.size(); ++i) {
-    big[i] = static_cast<char>('a' + (i % 23));
-  }
-  const RpcResponse r = BlockingCall(channel, 1, 7, big);
-  ASSERT_EQ(r.code, ErrCode::kOk);
-  EXPECT_EQ(r.payload, big);
-}
-
-TEST(TcpUringTest, CorruptClientStreamDroppedOthersKeepServing) {
-  EchoHandler handler;
-  TcpServer::Options options;
-  options.io_backend = IoBackend::kUring;
-  TcpServer server(&handler, options);
-  if (!StartOnUring(server)) GTEST_SKIP() << "io_uring unavailable";
-
-  {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    struct sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(server.port());
-    ASSERT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
-    const std::string garbage(64, 'G');
-    ASSERT_GT(::send(fd, garbage.data(), garbage.size(), MSG_NOSIGNAL), 0);
-    char buf[16];
-    EXPECT_EQ(::recv(fd, buf, sizeof(buf), 0), 0);
-    ::close(fd);
-  }
-
-  TcpChannel channel;
-  channel.Register(1, server.host(), server.port());
-  EXPECT_EQ(BlockingCall(channel, 1, 7, "still-alive").code, ErrCode::kOk);
-}
-
-TEST(TcpUringTest, StopWhileClientsConnectedShutsDownCleanly) {
-  EchoHandler handler;
-  TcpServer::Options options;
-  options.io_backend = IoBackend::kUring;
-  options.workers = 2;
-  TcpServer server(&handler, options);
-  if (!StartOnUring(server)) GTEST_SKIP() << "io_uring unavailable";
-
-  TcpChannel channel;
-  channel.Register(1, server.host(), server.port());
-  ASSERT_EQ(BlockingCall(channel, 1, 7, "warm").code, ErrCode::kOk);
-  server.Stop();  // live connection + armed recv must not hang teardown
-  EXPECT_EQ(BlockingCall(channel, 1, 7, "x").code, ErrCode::kUnavailable);
-}
-
-TEST(TcpUringTest, FallbackIsObservableViaCounterAndBackendName) {
-  // Whichever way Start() resolves, the chosen backend is observable:
-  // either the name says "uring" or the fallback counter ticked.
-  auto& registry = common::MetricsRegistry::Default();
-  const std::uint64_t before =
-      registry.CounterValue("rpc.tcp_server.uring.fallbacks");
-  // Counters are process-wide: compare against a snapshot, so an earlier
-  // uring server in the same process cannot satisfy the check for this one.
-  const std::uint64_t sqes_before =
-      registry.CounterValue("rpc.tcp_server.uring.sqes");
-  EchoHandler handler;
-  TcpServer::Options options;
-  options.io_backend = IoBackend::kUring;
-  TcpServer server(&handler, options);
-  ASSERT_TRUE(server.Start().ok());
-  if (std::string_view(server.io_backend_name()) == "uring") {
-    EXPECT_EQ(registry.CounterValue("rpc.tcp_server.uring.fallbacks"), before);
-    EXPECT_GT(registry.CounterValue("rpc.tcp_server.uring.sqes"),
-              sqes_before);
-  } else {
-    EXPECT_EQ(registry.CounterValue("rpc.tcp_server.uring.fallbacks"),
-              before + 1);
-    // And the fallback server still serves.
-    TcpChannel channel;
-    channel.Register(1, server.host(), server.port());
-    EXPECT_EQ(BlockingCall(channel, 1, 7, "fb").code, ErrCode::kOk);
-  }
 }
 
 }  // namespace

@@ -282,8 +282,8 @@ TEST(PinnedReaderTest, PinKeepsPayloadAliveAfterReaderMovesOn) {
 }
 
 TEST(PinnedReaderTest, AppendPathMatchesRecvPath) {
-  // Transports that receive into foreign buffers (io_uring registered
-  // buffers) ingest via Append; decode must behave identically.
+  // Bytes received into a foreign buffer ingest via Append; decode must
+  // behave exactly as for bytes received in place (RecvInto/Commit).
   PinnedFrameReader reader(kMaxPayloadBytes, /*chunk_bytes=*/512);
   const std::string bytes = EncodeFrame(RequestHeader(9, 5, 3), "via-append") +
                             EncodeFrame(RequestHeader(10, 6, 3),
