@@ -1,12 +1,11 @@
 // Ablation: the concatenated dirent-list value (§3.2.1).
 //
 // LocoFS stores all dirents of one directory (per server) as a single
-// concatenated KV value; an insert/remove is a read-modify-write of that
-// value, so the per-entry cost grows linearly with directory size.  The
-// paper accepts this (HPC directories are bounded and the value is split
-// per FMS); this bench quantifies the cost so users know where the design
-// stops scaling — and shows how much the FMS sharding helps, since each of
-// N servers holds only ~1/N of a directory's file dirents.
+// concatenated KV value.  We update it by appending (core/layout.h): a
+// create appends one name record, so its cost stays flat as the directory
+// grows, while a readdir still parses the whole value and grows linearly.
+// This bench measures both against directory size; with N FMS servers each
+// holds only ~1/N of a directory's file dirents.
 #include <cstdio>
 #include <string>
 
@@ -69,10 +68,8 @@ int main(int argc, char** argv) {
   }
   table.Print();
   std::printf(
-      "\nThe read-modify-write of the concatenated value makes per-create\n"
-      "cost linear in directory size.  With N FMS servers each shard holds\n"
-      "~1/N of the entries, and HPC working directories are bounded — but a\n"
-      "single multi-million-entry directory would want a different dirent\n"
-      "encoding (e.g. one KV record per entry under a uuid prefix).\n");
+      "\nA create appends one record to the concatenated value, so its cost\n"
+      "does not grow with directory size; a readdir parses the whole value\n"
+      "and does.  With N FMS servers each shard holds ~1/N of the entries.\n");
   return 0;
 }

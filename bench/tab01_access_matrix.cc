@@ -57,7 +57,7 @@ struct Stack {
     fn(*client);
     auto touched = [](const kv::KvStats& now, const kv::KvStats& then) {
       const kv::KvStats d = now - then;
-      return d.gets + d.puts + d.deletes + d.patches + d.scans > 0;
+      return d.gets + d.puts + d.deletes + d.patches + d.appends + d.scans > 0;
     };
     Touches t;
     t.dir = touched(dms.dir_kv().stats(), dir0);

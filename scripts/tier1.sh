@@ -60,6 +60,19 @@ case "$live_last" in
   *'"correct": true'*) ;;
   *) echo "tier1: livebench run did not report \"correct\": true" >&2; exit 1 ;;
 esac
+# Tripwire that the live daemons take the append-only dirent path
+# (core/layout.h): no failed op, and the store grows by at most 600 B per
+# mutating op — a create or unlink that rewrote its ~200-name dirent list
+# would log ~2.2 KB.
+python3 - "$live_last" <<'PY'
+import json, sys
+result = json.loads(sys.argv[1])
+failed = result["failed"]
+per_op = result["metrics"]["store_bytes_per_op"]["value"]
+print("tier1: livebench failed=%d store_bytes_per_op=%.1f" % (failed, per_op))
+if failed != 0 or per_op > 600:
+    sys.exit("tier1: livebench needs failed == 0, store_bytes_per_op <= 600")
+PY
 
 echo "== tier-1: ASan+UBSan pass (net + kv + fs + sim + core + benchlib + integration + chaos + shard + gc soak + notify) =="
 cmake -B build-asan -S . -DLOCO_SANITIZE=ON >/dev/null

@@ -428,11 +428,7 @@ net::RpcResponse DirectoryMetadataServer::Mkdir(std::string_view payload) {
   }
 
   // Record the new subdirectory in the parent's concatenated dirent value.
-  const std::string dirent_key = DirentKey(parent->uuid);
-  std::string dirent_value;
-  (void)dirents_->Get(dirent_key, &dirent_value);
-  AppendDirent(&dirent_value, fs::BaseName(path));
-  if (!dirents_->Put(dirent_key, dirent_value).ok()) {
+  if (!AppendDirent(dirents_.get(), parent->uuid, fs::BaseName(path)).ok()) {
     // Roll back the d-inode: without its dirent entry the directory would be
     // invisible to Readdir yet block any future mkdir of the same path.
     (void)dirs_->Delete(path);
@@ -494,13 +490,7 @@ net::RpcResponse DirectoryMetadataServer::Rmdir(std::string_view payload) {
 
   (void)dirs_->Delete(path);
   (void)dirents_->Delete(DirentKey(attr.uuid));
-  const std::string parent_key = DirentKey(parent->uuid);
-  std::string parent_dirents;
-  if (dirents_->Get(parent_key, &parent_dirents).ok()) {
-    if (RemoveDirent(&parent_dirents, fs::BaseName(path))) {
-      (void)dirents_->Put(parent_key, parent_dirents);
-    }
-  }
+  (void)RemoveDirent(dirents_.get(), parent->uuid, fs::BaseName(path));
   return Ok();
 }
 
@@ -667,17 +657,8 @@ net::RpcResponse DirectoryMetadataServer::Rename(std::string_view payload) {
   ++moved;
 
   // Fix both parents' dirent lists.
-  const std::string src_key = DirentKey(src_parent->uuid);
-  std::string src_dirents;
-  if (dirents_->Get(src_key, &src_dirents).ok() &&
-      RemoveDirent(&src_dirents, fs::BaseName(from))) {
-    (void)dirents_->Put(src_key, src_dirents);
-  }
-  const std::string dst_key = DirentKey(dst_parent->uuid);
-  std::string dst_dirents;
-  (void)dirents_->Get(dst_key, &dst_dirents);
-  AppendDirent(&dst_dirents, fs::BaseName(to));
-  (void)dirents_->Put(dst_key, dst_dirents);
+  (void)RemoveDirent(dirents_.get(), src_parent->uuid, fs::BaseName(from));
+  (void)AppendDirent(dirents_.get(), dst_parent->uuid, fs::BaseName(to));
   return OkPayload(fs::Pack(moved));
 }
 
@@ -872,12 +853,10 @@ net::RpcResponse DirectoryMetadataServer::RenameCommit(
   if (root_inode.empty()) return Fail(ErrCode::kInvalid);
   if (!dirs_->Put(to, root_inode).ok()) return Fail(ErrCode::kIo);
 
-  const std::string dst_key = DirentKey(dst_parent->uuid);
   std::string dst_dirents;
-  (void)dirents_->Get(dst_key, &dst_dirents);
+  (void)dirents_->Get(DirentKey(dst_parent->uuid), &dst_dirents);
   if (!DirentListContains(dst_dirents, fs::BaseName(to))) {
-    AppendDirent(&dst_dirents, fs::BaseName(to));
-    (void)dirents_->Put(dst_key, dst_dirents);
+    (void)AppendDirent(dirents_.get(), dst_parent->uuid, fs::BaseName(to));
   }
   EraseIntent(1, txid);
   return Ok();
@@ -898,13 +877,8 @@ net::RpcResponse DirectoryMetadataServer::RenameFinish(
   // source parent's dirent list, drop the intent.
   std::string parent_inode;
   if (dirs_->Get(std::string(fs::ParentPath(p.from)), &parent_inode).ok()) {
-    const std::string src_key =
-        DirentKey(DirInodeLayout::Parse(parent_inode).uuid);
-    std::string src_dirents;
-    if (dirents_->Get(src_key, &src_dirents).ok() &&
-        RemoveDirent(&src_dirents, fs::BaseName(p.from))) {
-      (void)dirents_->Put(src_key, src_dirents);
-    }
+    (void)RemoveDirent(dirents_.get(), DirInodeLayout::Parse(parent_inode).uuid,
+                       fs::BaseName(p.from));
   }
   DeleteSubtree(p.from);
   // Push while `from` is still known (Finish carries only the txid, so the
@@ -1080,16 +1054,19 @@ net::RpcResponse DirectoryMetadataServer::RepairDirent(std::string_view payload)
   std::string value;
   if (!dirs_->Get(dir_path, &value).ok()) return Fail(ErrCode::kNotFound);
   const fs::Attr attr = DirInodeLayout::Parse(value);
-  const std::string dirent_key = DirentKey(attr.uuid);
-  std::string dirent_value;
-  (void)dirents_->Get(dirent_key, &dirent_value);
   if (add != 0) {
+    std::string dirent_value;
+    (void)dirents_->Get(DirentKey(attr.uuid), &dirent_value);
     if (DirentListContains(dirent_value, name)) return Ok();
-    AppendDirent(&dirent_value, name);
-  } else {
-    if (!RemoveDirent(&dirent_value, name)) return Ok();
+    if (!AppendDirent(dirents_.get(), attr.uuid, name).ok()) {
+      return Fail(ErrCode::kIo);
+    }
+    return Ok();
   }
-  if (!dirents_->Put(dirent_key, dirent_value).ok()) return Fail(ErrCode::kIo);
+  const Status removed = RemoveDirent(dirents_.get(), attr.uuid, name);
+  if (!removed.ok() && removed.code() != ErrCode::kNotFound) {
+    return Fail(ErrCode::kIo);
+  }
   return Ok();
 }
 
@@ -1114,22 +1091,19 @@ bool DirectoryMetadataServer::GcFixDirent(const std::string& dir_path,
   const std::string child_path =
       dir_path == "/" ? "/" + name : dir_path + "/" + name;
   const bool child_exists = dirs_->Contains(child_path);
-  const std::string dirent_key = DirentKey(attr.uuid);
   std::string dirent_value;
-  (void)dirents_->Get(dirent_key, &dirent_value);
+  (void)dirents_->Get(DirentKey(attr.uuid), &dirent_value);
   const bool listed = DirentListContains(dirent_value, name);
   if (add) {
     // I4: the child d-inode must still exist and still be unlisted.  Holding
     // the same lock Mkdir appends under makes a duplicate entry impossible.
     if (!child_exists || listed) return false;
-    AppendDirent(&dirent_value, name);
-  } else {
-    // I2: the entry must still be dangling.  A child mid-Mkdir cannot look
-    // like this (the inode is written before the dirent entry).
-    if (child_exists || !listed) return false;
-    if (!RemoveDirent(&dirent_value, name)) return false;
+    return AppendDirent(dirents_.get(), attr.uuid, name).ok();
   }
-  return dirents_->Put(dirent_key, dirent_value).ok();
+  // I2: the entry must still be dangling.  A child mid-Mkdir cannot look
+  // like this (the inode is written before the dirent entry).
+  if (child_exists || !listed) return false;
+  return RemoveDirent(dirents_.get(), attr.uuid, name).ok();
 }
 
 GcStepResult DirectoryMetadataServer::GcStep(std::uint32_t budget) {

@@ -217,29 +217,6 @@ net::RpcResponse FileMetadataServer::Dispatch(std::uint16_t opcode,
   }
 }
 
-Status FileMetadataServer::AppendToDirent(fs::Uuid dir_uuid,
-                                          std::string_view name) {
-  const std::string key = DirentKey(dir_uuid);
-  std::string value;
-  (void)dirents_->Get(key, &value);
-  AppendDirent(&value, name);
-  return dirents_->Put(key, value);
-}
-
-void FileMetadataServer::RemoveFromDirent(fs::Uuid dir_uuid,
-                                          std::string_view name) {
-  const std::string key = DirentKey(dir_uuid);
-  std::string value;
-  if (!dirents_->Get(key, &value).ok()) return;
-  if (RemoveDirent(&value, name)) {
-    if (value.empty()) {
-      (void)dirents_->Delete(key);
-    } else {
-      (void)dirents_->Put(key, value);
-    }
-  }
-}
-
 net::RpcResponse FileMetadataServer::Create(std::string_view payload,
                                             std::uint64_t client) {
   fs::Uuid dir_uuid;
@@ -252,7 +229,7 @@ net::RpcResponse FileMetadataServer::Create(std::string_view payload,
   const fs::Uuid uuid = fs::Uuid::Make(
       options_.sid, next_fid_.fetch_add(1, std::memory_order_relaxed));
   // Serialize against same-directory creates/removes: the existence check,
-  // the inode puts, and the dirent-list RMW must be one atomic step.
+  // the inode puts, and the dirent append must be one atomic step.
   const auto guard = dir_locks_.Lock(dir_uuid.raw());
 
   if (options_.decoupled) {
@@ -282,7 +259,7 @@ net::RpcResponse FileMetadataServer::Create(std::string_view payload,
     inode.name = name;
     if (!coupled_->Put(key, inode.Serialize()).ok()) return Fail(ErrCode::kIo);
   }
-  if (!AppendToDirent(dir_uuid, name).ok()) {
+  if (!AppendDirent(dirents_.get(), dir_uuid, name).ok()) {
     // Roll back the inode: a file absent from its dirent list would survive
     // as an orphan invisible to Readdir yet blocking future creates.
     if (options_.decoupled) {
@@ -317,7 +294,7 @@ net::RpcResponse FileMetadataServer::Remove(std::string_view payload) {
   } else {
     (void)coupled_->Delete(key);
   }
-  RemoveFromDirent(dir_uuid, name);
+  (void)RemoveDirent(dirents_.get(), dir_uuid, name);
   sessions_.DropFile(dir_uuid, name);
   return OkPayload(fs::Pack(attr->uuid));
 }
@@ -734,7 +711,7 @@ net::RpcResponse FileMetadataServer::InsertRaw(std::string_view payload) {
     inode.name = name;
     if (!coupled_->Put(key, inode.Serialize()).ok()) return Fail(ErrCode::kIo);
   }
-  if (!AppendToDirent(dir_uuid, name).ok()) {
+  if (!AppendDirent(dirents_.get(), dir_uuid, name).ok()) {
     if (options_.decoupled) {
       (void)access_->Delete(key);
       (void)content_->Delete(key);
@@ -916,9 +893,11 @@ net::RpcResponse FileMetadataServer::RepairDirent(std::string_view payload) {
     std::string value;
     (void)dirents_->Get(DirentKey(dir_uuid), &value);
     if (DirentListContains(value, name)) return Ok();
-    if (!AppendToDirent(dir_uuid, name).ok()) return Fail(ErrCode::kIo);
+    if (!AppendDirent(dirents_.get(), dir_uuid, name).ok()) {
+      return Fail(ErrCode::kIo);
+    }
   } else {
-    RemoveFromDirent(dir_uuid, name);
+    (void)RemoveDirent(dirents_.get(), dir_uuid, name);
   }
   return Ok();
 }
@@ -941,7 +920,7 @@ net::RpcResponse FileMetadataServer::PurgeFile(std::string_view payload) {
   } else {
     (void)coupled_->Delete(key);
   }
-  RemoveFromDirent(dir_uuid, name);
+  (void)RemoveDirent(dirents_.get(), dir_uuid, name);
   sessions_.DropFile(dir_uuid, name);
   return OkPayload(fs::Pack(uuid));
 }
@@ -974,14 +953,15 @@ GcStepResult FileMetadataServer::GcStep(std::uint32_t budget,
     const bool listed = DirentListContains(dirent_value, p.name);
     switch (p.kind) {
       case GcPending::kAddDirent:  // I6: inode present, dirent entry missing
-        if (have_inode && !listed && AppendToDirent(dir, p.name).ok()) {
+        if (have_inode && !listed &&
+            AppendDirent(dirents_.get(), dir, p.name).ok()) {
           result.reclaimed += 1;
           gc_i6_repaired_->Add();
         }
         break;
       case GcPending::kDropDirent:  // I7: dirent entry without an inode
         if (!have_inode && listed) {
-          RemoveFromDirent(dir, p.name);
+          (void)RemoveDirent(dirents_.get(), dir, p.name);
           result.reclaimed += 1;
           gc_i7_repaired_->Add();
         }
@@ -995,7 +975,7 @@ GcStepResult FileMetadataServer::GcStep(std::uint32_t budget,
             (void)coupled_->Delete(key);
           }
         }
-        if (listed) RemoveFromDirent(dir, p.name);
+        if (listed) (void)RemoveDirent(dirents_.get(), dir, p.name);
         if (have_inode || listed) {
           result.reclaimed += 1;
           gc_i5_purged_->Add();

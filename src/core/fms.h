@@ -18,9 +18,9 @@
 //
 // Concurrency: handlers may run on many TcpServer workers at once.  Create,
 // Remove and InsertRaw serialize per directory (a lock table keyed by
-// dir_uuid guards the dirent-list read-modify-write and the existence
-// check); attribute updates that read-modify-write one inode serialize per
-// file key; everything else relies on the lock-striped KV stores
+// dir_uuid guards the dirent-list update and the existence check);
+// attribute updates that read-modify-write one inode serialize per file key;
+// everything else relies on the lock-striped KV stores
 // (kvstore/striped_kv.h).
 #pragma once
 
@@ -150,9 +150,6 @@ class FileMetadataServer final : public net::RpcHandler {
   // Materialized scan payloads (shared by live scans and SnapshotBegin).
   std::string ScanFilesPayload();
   std::string ScanDirentsPayload();
-
-  Status AppendToDirent(fs::Uuid dir_uuid, std::string_view name);
-  void RemoveFromDirent(fs::Uuid dir_uuid, std::string_view name);
 
   Options options_;
   // Decoupled mode stores.

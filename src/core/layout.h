@@ -25,7 +25,9 @@
 #include <vector>
 
 #include "common/codec.h"
+#include "common/result.h"
 #include "fs/types.h"
+#include "kvstore/kv.h"
 
 namespace loco::core {
 
@@ -191,12 +193,26 @@ inline std::string DirentKey(fs::Uuid dir_uuid) {
   return key;
 }
 
-// Dirent lists are stored as one concatenated value per directory (§3.2.1):
-// a sequence of length-prefixed names.
+// Dirent lists are stored as one concatenated value per directory (§3.2.1),
+// updated only by appending records:
+//   name:      [u32 len][len bytes]
+//   tombstone: [u32 len | kDirentTombstone][len bytes]
+// A tombstone cancels the first earlier live occurrence of its name; the
+// survivors keep insertion order.  An add is one Kv::Append of a name
+// record; a remove appends a tombstone, except that it Puts the compacted
+// live list once dead records (tombstones and the names they cancel) would
+// outnumber live ones, and Deletes the key when no name is left.  A value
+// written before tombstones existed is a tombstone-free list and parses
+// unchanged.
+constexpr std::uint32_t kDirentTombstone = 0x80000000u;
+
+// The live names, in insertion order.  O(n) expected.
 std::vector<std::string> ParseDirentList(std::string_view value);
-void AppendDirent(std::string* value, std::string_view name);
-// Returns false if absent.
-bool RemoveDirent(std::string* value, std::string_view name);
 bool DirentListContains(std::string_view value, std::string_view name);
+// Add `name` to `dir`'s list: one Append, no read.
+Status AppendDirent(kv::Kv* dirents, fs::Uuid dir, std::string_view name);
+// Drop the first live occurrence of `name` from `dir`'s list.  kNotFound if
+// it is not listed; the store's error if the write fails.
+Status RemoveDirent(kv::Kv* dirents, fs::Uuid dir, std::string_view name);
 
 }  // namespace loco::core

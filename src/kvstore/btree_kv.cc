@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "common/codec.h"
 #include "kvstore/wal_records.h"
 
 namespace loco::kv {
@@ -81,30 +80,37 @@ Status BTreeKV::Open() {
   const std::string path = options_.dir + "/btreekv.wal";
   replaying_ = true;
   auto replayed = Wal::Replay(path, [this](std::string_view rec) {
-    common::Reader r(rec);
-    const std::uint8_t op = r.GetU8();
-    if (op == walrec::kOpPut) {
-      std::string_view key = r.GetBytes();
-      std::string_view value = r.GetBytes();
-      if (r.ok()) InsertNoLog(key, value);
-    } else if (op == walrec::kOpDelete) {
-      std::string_view key = r.GetBytes();
-      if (r.ok()) EraseNoLog(key);
-    } else if (op == walrec::kOpPatch) {
-      std::string_view key = r.GetBytes();
-      const std::uint64_t off = r.GetU64();
-      std::string_view patch = r.GetBytes();
-      if (r.ok()) {
-        if (std::string* v = FindValue(key);
-            v != nullptr && off + patch.size() <= v->size()) {
-          v->replace(static_cast<std::size_t>(off), patch.size(), patch);
-        }
-      }
+    walrec::Record r;
+    if (!walrec::Decode(rec, &r)) return;
+    switch (r.op) {
+      case walrec::kOpPut: InsertNoLog(r.key, r.value); break;
+      case walrec::kOpDelete: EraseNoLog(r.key); break;
+      case walrec::kOpPatch: (void)PatchNoLog(r.key, r.offset, r.value); break;
+      case walrec::kOpAppend: AppendNoLog(r.key, r.value); break;
     }
   });
   replaying_ = false;
   if (!replayed.ok()) return replayed.status();
   return wal_.Open(path, options_.sync_writes);
+}
+
+Status BTreeKV::PatchNoLog(std::string_view key, std::uint64_t offset,
+                           std::string_view patch) {
+  std::string* v = FindValue(key);
+  if (v == nullptr) return ErrStatus(ErrCode::kNotFound);
+  if (offset + patch.size() > v->size()) {
+    return ErrStatus(ErrCode::kInvalid, "patch out of range");
+  }
+  v->replace(static_cast<std::size_t>(offset), patch.size(), patch);
+  return OkStatus();
+}
+
+void BTreeKV::AppendNoLog(std::string_view key, std::string_view suffix) {
+  if (std::string* v = FindValue(key); v != nullptr) {
+    v->append(suffix);
+  } else {
+    InsertNoLog(key, suffix);
+  }
 }
 
 Status BTreeKV::LogAppend(std::string record) {
@@ -415,14 +421,16 @@ bool BTreeKV::Contains(std::string_view key) const {
 Status BTreeKV::PatchValue(std::string_view key, std::size_t offset,
                            std::string_view patch) {
   stats_.patches += 1;
-  std::string* v = FindValue(key);
-  if (v == nullptr) return ErrStatus(ErrCode::kNotFound);
-  if (offset + patch.size() > v->size()) {
-    return ErrStatus(ErrCode::kInvalid, "patch out of range");
-  }
-  v->replace(offset, patch.size(), patch);
+  LOCO_RETURN_IF_ERROR(PatchNoLog(key, offset, patch));
   stats_.bytes_written += patch.size();
   return LogAppend(walrec::EncodePatch(key, offset, patch));
+}
+
+Status BTreeKV::Append(std::string_view key, std::string_view suffix) {
+  stats_.appends += 1;
+  stats_.bytes_written += suffix.size();
+  AppendNoLog(key, suffix);
+  return LogAppend(walrec::EncodeAppend(key, suffix));
 }
 
 Status BTreeKV::ReadValueAt(std::string_view key, std::size_t offset,

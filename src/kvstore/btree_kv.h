@@ -29,6 +29,7 @@ class BTreeKV final : public Kv {
   bool Contains(std::string_view key) const override;
   Status PatchValue(std::string_view key, std::size_t offset,
                     std::string_view patch) override;
+  Status Append(std::string_view key, std::string_view suffix) override;
   Status ReadValueAt(std::string_view key, std::size_t offset, std::size_t len,
                      std::string* out) const override;
   std::size_t Size() const override { return size_; }
@@ -60,6 +61,9 @@ class BTreeKV final : public Kv {
   // Returns true if the tree grew via a root split.
   void InsertNoLog(std::string_view key, std::string_view value);
   bool EraseNoLog(std::string_view key);
+  Status PatchNoLog(std::string_view key, std::uint64_t offset,
+                    std::string_view patch);
+  void AppendNoLog(std::string_view key, std::string_view suffix);
   std::string* FindValue(std::string_view key) const noexcept;
 
   Status LogAppend(std::string record);

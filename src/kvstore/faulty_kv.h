@@ -1,8 +1,9 @@
 // Fault-injecting KV decorator.
 //
-// Wraps any kv::Kv and fails Put / PatchValue with kIo according to the
-// process fault plane (net::FaultInjector, the kv_put_fail= / kv_fail_after=
-// knobs of --fault-spec).  Reads, deletes and scans pass through untouched.
+// Wraps any kv::Kv and fails Put / PatchValue / Append with kIo according to
+// the process fault plane (net::FaultInjector, the kv_put_fail= /
+// kv_fail_after= knobs of --fault-spec).  Reads, deletes and scans pass
+// through untouched.
 //
 // This is how torn multi-key sequences are provoked on demand: LocoFS
 // metadata mutations write several keys in a fixed order (file content part
@@ -52,6 +53,13 @@ class FaultyKv final : public Kv {
       return ErrStatus(ErrCode::kIo, "injected patch failure");
     }
     return inner_->PatchValue(key, offset, patch);
+  }
+
+  Status Append(std::string_view key, std::string_view suffix) override {
+    if (injector_->FailKvPut()) {
+      return ErrStatus(ErrCode::kIo, "injected append failure");
+    }
+    return inner_->Append(key, suffix);
   }
 
   Status ReadValueAt(std::string_view key, std::size_t offset, std::size_t len,

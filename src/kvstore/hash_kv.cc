@@ -3,19 +3,14 @@
 #include <cassert>
 #include <utility>
 
-#include "common/codec.h"
 #include "common/hash.h"
+#include "kvstore/wal_records.h"
 
 namespace loco::kv {
 
 namespace {
 constexpr std::size_t kInitialCapacity = 64;
 constexpr double kMaxLoad = 0.70;
-
-// WAL record tags.
-constexpr std::uint8_t kOpPut = 1;
-constexpr std::uint8_t kOpDelete = 2;
-constexpr std::uint8_t kOpPatch = 3;
 
 std::uint64_t KeyHash(std::string_view key) noexcept {
   // Never zero/used as "empty" marker; Mix64 of FNV avoids clustering.
@@ -32,25 +27,13 @@ Status HashKV::Open() {
   const std::string path = options_.dir + "/hashkv.wal";
   replaying_ = true;
   auto replayed = Wal::Replay(path, [this](std::string_view rec) {
-    common::Reader r(rec);
-    const std::uint8_t op = r.GetU8();
-    if (op == kOpPut) {
-      std::string_view key = r.GetBytes();
-      std::string_view value = r.GetBytes();
-      if (r.ok()) InsertNoLog(key, value);
-    } else if (op == kOpDelete) {
-      std::string_view key = r.GetBytes();
-      if (r.ok()) EraseNoLog(key);
-    } else if (op == kOpPatch) {
-      std::string_view key = r.GetBytes();
-      const std::uint64_t off = r.GetU64();
-      std::string_view patch = r.GetBytes();
-      if (r.ok()) {
-        if (Slot* s = Find(key);
-            s != nullptr && off + patch.size() <= s->value.size()) {
-          s->value.replace(static_cast<std::size_t>(off), patch.size(), patch);
-        }
-      }
+    walrec::Record r;
+    if (!walrec::Decode(rec, &r)) return;
+    switch (r.op) {
+      case walrec::kOpPut: InsertNoLog(r.key, r.value); break;
+      case walrec::kOpDelete: EraseNoLog(r.key); break;
+      case walrec::kOpPatch: (void)PatchNoLog(r.key, r.offset, r.value); break;
+      case walrec::kOpAppend: AppendNoLog(r.key, r.value); break;
     }
   });
   replaying_ = false;
@@ -141,6 +124,25 @@ bool HashKV::EraseNoLog(std::string_view key) {
   return true;
 }
 
+Status HashKV::PatchNoLog(std::string_view key, std::uint64_t offset,
+                          std::string_view patch) {
+  Slot* s = Find(key);
+  if (s == nullptr) return ErrStatus(ErrCode::kNotFound);
+  if (offset + patch.size() > s->value.size()) {
+    return ErrStatus(ErrCode::kInvalid, "patch out of range");
+  }
+  s->value.replace(static_cast<std::size_t>(offset), patch.size(), patch);
+  return OkStatus();
+}
+
+void HashKV::AppendNoLog(std::string_view key, std::string_view suffix) {
+  if (Slot* s = Find(key); s != nullptr) {
+    s->value.append(suffix);
+  } else {
+    InsertNoLog(key, suffix);
+  }
+}
+
 HashKV::Slot* HashKV::Find(std::string_view key) noexcept {
   return const_cast<Slot*>(std::as_const(*this).Find(key));
 }
@@ -159,45 +161,18 @@ const HashKV::Slot* HashKV::Find(std::string_view key) const noexcept {
   }
 }
 
-Status HashKV::LogPut(std::string_view key, std::string_view value) {
+Status HashKV::LogAppend(const std::string& record) {
   if (!wal_.IsOpen() || replaying_) return OkStatus();
-  common::Writer w;
-  w.PutU8(kOpPut);
-  w.PutBytes(key);
-  w.PutBytes(value);
   stats_.io_ops += 1;
-  stats_.io_bytes += w.size();
-  return wal_.Append(w.str());
-}
-
-Status HashKV::LogDelete(std::string_view key) {
-  if (!wal_.IsOpen() || replaying_) return OkStatus();
-  common::Writer w;
-  w.PutU8(kOpDelete);
-  w.PutBytes(key);
-  stats_.io_ops += 1;
-  stats_.io_bytes += w.size();
-  return wal_.Append(w.str());
-}
-
-Status HashKV::LogPatch(std::string_view key, std::size_t offset,
-                        std::string_view patch) {
-  if (!wal_.IsOpen() || replaying_) return OkStatus();
-  common::Writer w;
-  w.PutU8(kOpPatch);
-  w.PutBytes(key);
-  w.PutU64(offset);
-  w.PutBytes(patch);
-  stats_.io_ops += 1;
-  stats_.io_bytes += w.size();
-  return wal_.Append(w.str());
+  stats_.io_bytes += record.size() + 8;  // + frame header
+  return wal_.Append(record);
 }
 
 Status HashKV::Put(std::string_view key, std::string_view value) {
   stats_.puts += 1;
   stats_.bytes_written += key.size() + value.size();
   InsertNoLog(key, value);
-  return LogPut(key, value);
+  return LogAppend(walrec::EncodePut(key, value));
 }
 
 Status HashKV::Get(std::string_view key, std::string* value) const {
@@ -212,7 +187,7 @@ Status HashKV::Get(std::string_view key, std::string* value) const {
 Status HashKV::Delete(std::string_view key) {
   stats_.deletes += 1;
   if (!EraseNoLog(key)) return ErrStatus(ErrCode::kNotFound);
-  return LogDelete(key);
+  return LogAppend(walrec::EncodeDelete(key));
 }
 
 bool HashKV::Contains(std::string_view key) const {
@@ -223,14 +198,16 @@ bool HashKV::Contains(std::string_view key) const {
 Status HashKV::PatchValue(std::string_view key, std::size_t offset,
                           std::string_view patch) {
   stats_.patches += 1;
-  Slot* s = Find(key);
-  if (s == nullptr) return ErrStatus(ErrCode::kNotFound);
-  if (offset + patch.size() > s->value.size()) {
-    return ErrStatus(ErrCode::kInvalid, "patch out of range");
-  }
-  s->value.replace(offset, patch.size(), patch);
+  LOCO_RETURN_IF_ERROR(PatchNoLog(key, offset, patch));
   stats_.bytes_written += patch.size();
-  return LogPatch(key, offset, patch);
+  return LogAppend(walrec::EncodePatch(key, offset, patch));
+}
+
+Status HashKV::Append(std::string_view key, std::string_view suffix) {
+  stats_.appends += 1;
+  stats_.bytes_written += suffix.size();
+  AppendNoLog(key, suffix);
+  return LogAppend(walrec::EncodeAppend(key, suffix));
 }
 
 Status HashKV::ReadValueAt(std::string_view key, std::size_t offset,

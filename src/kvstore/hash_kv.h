@@ -28,6 +28,7 @@ class HashKV final : public Kv {
   bool Contains(std::string_view key) const override;
   Status PatchValue(std::string_view key, std::size_t offset,
                     std::string_view patch) override;
+  Status Append(std::string_view key, std::string_view suffix) override;
   Status ReadValueAt(std::string_view key, std::size_t offset, std::size_t len,
                      std::string* out) const override;
   std::size_t Size() const override { return size_; }
@@ -51,15 +52,16 @@ class HashKV final : public Kv {
   // Mutating primitives shared by the public ops and WAL replay.
   void InsertNoLog(std::string_view key, std::string_view value);
   bool EraseNoLog(std::string_view key);
+  Status PatchNoLog(std::string_view key, std::uint64_t offset,
+                    std::string_view patch);
+  void AppendNoLog(std::string_view key, std::string_view suffix);
   Slot* Find(std::string_view key) noexcept;
   const Slot* Find(std::string_view key) const noexcept;
 
   void Rehash(std::size_t new_capacity);
   std::size_t ProbeDistance(std::size_t slot_index, std::uint64_t hash) const noexcept;
 
-  Status LogPut(std::string_view key, std::string_view value);
-  Status LogDelete(std::string_view key);
-  Status LogPatch(std::string_view key, std::size_t offset, std::string_view patch);
+  Status LogAppend(const std::string& record);
 
   KvOptions options_;
   std::vector<Slot> slots_;

@@ -21,6 +21,15 @@ Status Kv::PatchValue(std::string_view key, std::size_t offset,
   return Put(key, value);
 }
 
+Status Kv::Append(std::string_view key, std::string_view suffix) {
+  stats_.appends += 1;
+  std::string value;
+  const Status got = Get(key, &value);
+  if (!got.ok() && got.code() != ErrCode::kNotFound) return got;
+  value.append(suffix);
+  return Put(key, value);
+}
+
 Status Kv::ReadValueAt(std::string_view key, std::size_t offset, std::size_t len,
                        std::string* out) const {
   std::string value;
@@ -55,6 +64,7 @@ std::vector<common::MetricsRegistry::GaugeHandle> RegisterKvStatsGauges(
       {"puts", &KvStats::puts},
       {"deletes", &KvStats::deletes},
       {"patches", &KvStats::patches},
+      {"appends", &KvStats::appends},
       {"scans", &KvStats::scans},
       {"scan_items", &KvStats::scan_items},
       {"bytes_read", &KvStats::bytes_read},

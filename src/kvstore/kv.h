@@ -35,6 +35,7 @@ struct KvStats {
   std::uint64_t puts = 0;
   std::uint64_t deletes = 0;
   std::uint64_t patches = 0;       // in-place partial value updates
+  std::uint64_t appends = 0;       // value suffix appends
   std::uint64_t scans = 0;         // ordered or full scans
   std::uint64_t scan_items = 0;    // entries visited by scans
   std::uint64_t bytes_read = 0;    // value bytes returned to callers
@@ -46,7 +47,8 @@ struct KvStats {
   KvStats operator-(const KvStats& rhs) const noexcept {
     KvStats d = *this;
     d.gets -= rhs.gets; d.puts -= rhs.puts; d.deletes -= rhs.deletes;
-    d.patches -= rhs.patches; d.scans -= rhs.scans; d.scan_items -= rhs.scan_items;
+    d.patches -= rhs.patches; d.appends -= rhs.appends;
+    d.scans -= rhs.scans; d.scan_items -= rhs.scan_items;
     d.bytes_read -= rhs.bytes_read; d.bytes_written -= rhs.bytes_written;
     d.io_ops -= rhs.io_ops; d.io_bytes -= rhs.io_bytes;
     return d;
@@ -55,7 +57,8 @@ struct KvStats {
   KvStats operator+(const KvStats& rhs) const noexcept {
     KvStats s = *this;
     s.gets += rhs.gets; s.puts += rhs.puts; s.deletes += rhs.deletes;
-    s.patches += rhs.patches; s.scans += rhs.scans; s.scan_items += rhs.scan_items;
+    s.patches += rhs.patches; s.appends += rhs.appends;
+    s.scans += rhs.scans; s.scan_items += rhs.scan_items;
     s.bytes_read += rhs.bytes_read; s.bytes_written += rhs.bytes_written;
     s.io_ops += rhs.io_ops; s.io_bytes += rhs.io_bytes;
     return s;
@@ -102,6 +105,13 @@ class Kv {
   // the rest of the value.  Fails with kNotFound / kInvalid (out of range).
   virtual Status PatchValue(std::string_view key, std::size_t offset,
                             std::string_view patch);
+
+  // Append `suffix` to the stored value; a missing key is created holding
+  // `suffix`.  Stores that keep values in place (hash, btree) log one append
+  // record instead of the whole value — the primitive behind append-only
+  // dirent lists (core/layout.h).  The default is a Get+Put with the same
+  // resulting value.
+  virtual Status Append(std::string_view key, std::string_view suffix);
 
   // Read `len` bytes at `offset` of the stored value.
   virtual Status ReadValueAt(std::string_view key, std::size_t offset,

@@ -51,15 +51,12 @@ Status LsmKV::Open() {
   const std::string path = options_.dir + "/lsmkv.wal";
   replaying_ = true;
   auto replayed = Wal::Replay(path, [this](std::string_view rec) {
-    common::Reader r(rec);
-    const std::uint8_t op = r.GetU8();
-    if (op == walrec::kOpPut) {
-      std::string_view key = r.GetBytes();
-      std::string_view value = r.GetBytes();
-      if (r.ok()) (void)Write(key, value);
-    } else if (op == walrec::kOpDelete) {
-      std::string_view key = r.GetBytes();
-      if (r.ok()) (void)Write(key, std::nullopt);
+    walrec::Record r;
+    if (!walrec::Decode(rec, &r)) return;
+    if (r.op == walrec::kOpPut) {
+      (void)Write(r.key, r.value);
+    } else if (r.op == walrec::kOpDelete) {
+      (void)Write(r.key, std::nullopt);
     }
   });
   replaying_ = false;

@@ -56,6 +56,12 @@ Status StripedKv::PatchValue(std::string_view key, std::size_t offset,
   return s.kv->PatchValue(key, offset, patch);
 }
 
+Status StripedKv::Append(std::string_view key, std::string_view suffix) {
+  Stripe& s = *stripes_[StripeOf(key)];
+  std::scoped_lock lock(s.mu);
+  return s.kv->Append(key, suffix);
+}
+
 Status StripedKv::ReadValueAt(std::string_view key, std::size_t offset,
                               std::size_t len, std::string* out) const {
   const Stripe& s = *stripes_[StripeOf(key)];

@@ -36,6 +36,7 @@ class StripedKv final : public Kv {
   bool Contains(std::string_view key) const override;
   Status PatchValue(std::string_view key, std::size_t offset,
                     std::string_view patch) override;
+  Status Append(std::string_view key, std::string_view suffix) override;
   Status ReadValueAt(std::string_view key, std::size_t offset, std::size_t len,
                      std::string* out) const override;
   std::size_t Size() const override;

@@ -18,7 +18,7 @@
 //   short_write=P   truncate the response mid-frame and drop the connection
 //   crash_after=N   _exit(137) after decoding N request frames (0 = never);
 //                   simulates kill -9 between a KV write and its successor
-//   kv_put_fail=P   fail a KV Put/PatchValue with kIo
+//   kv_put_fail=P   fail a KV Put/PatchValue/Append with kIo
 //   kv_fail_after=N all KV puts fail after N successes (torn multi-key
 //                   sequences: earlier keys applied, later ones lost)
 //   notify_drop=P   swallow an outbound kNotify push frame (its sequence
@@ -102,7 +102,8 @@ class FaultInjector {
   // Client-side stall before sending a request (TcpChannel hook).
   common::Nanos OnClientSend();
 
-  // True if this KV Put/PatchValue should fail with kIo (FaultyKv hook).
+  // True if this KV Put/PatchValue/Append should fail with kIo (FaultyKv
+  // hook).
   bool FailKvPut();
 
   // True if the server should pretend its admission queue is full for this

@@ -297,17 +297,6 @@ void PinnedFrameReader::Commit(std::size_t n) {
   buffered_ += n;
 }
 
-void PinnedFrameReader::Append(std::string_view bytes) {
-  while (!bytes.empty()) {
-    std::size_t capacity = 0;
-    char* dst = RecvInto(1, &capacity);
-    const std::size_t n = bytes.size() < capacity ? bytes.size() : capacity;
-    std::memcpy(dst, bytes.data(), n);
-    Commit(n);
-    bytes.remove_prefix(n);
-  }
-}
-
 void PinnedFrameReader::CopyOut(std::size_t n, char* out) {
   while (n > 0) {
     Chunk& front = chunks_.front();

@@ -206,15 +206,15 @@ struct PinnedFrame {
 };
 
 // Incremental frame extractor without FrameReader's per-payload copy.  Bytes
-// land directly in refcounted arena chunks — received in place by
-// TcpServer's loop (RecvInto/Commit), or copied in from a foreign buffer
-// with Append — and Next() yields payload views pinned into those chunks.  A chunk returns to the internal pool once the reader
-// has consumed it and every handler has dropped its pin (use_count == 1),
-// so steady-state traffic recycles a handful of chunks with no allocation.
+// are received in place into refcounted arena chunks by TcpServer's loop
+// (RecvInto/Commit), and Next() yields payload views pinned into those
+// chunks.  A chunk returns to the internal pool once the reader has consumed
+// it and every handler has dropped its pin (use_count == 1), so steady-state
+// traffic recycles a handful of chunks with no allocation.
 // Same latching error contract as FrameReader: the first framing violation
 // poisons the stream and the connection must be dropped.
 //
-// Single-threaded: one owner drives RecvInto/Commit/Append/Next.  Only the
+// Single-threaded: one owner drives RecvInto/Commit/Next.  Only the
 // pins it hands out may cross threads.
 class PinnedFrameReader {
  public:
@@ -227,10 +227,6 @@ class PinnedFrameReader {
   char* RecvInto(std::size_t min_bytes, std::size_t* capacity);
   // Publish `n` bytes received into the last RecvInto region.
   void Commit(std::size_t n);
-  // Copy path: append bytes received in a foreign buffer.  Decode stays
-  // view-based; only this ingest copies.
-  void Append(std::string_view bytes);
-
   std::optional<PinnedFrame> Next();
 
   const Status& status() const noexcept { return status_; }

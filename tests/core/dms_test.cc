@@ -7,6 +7,8 @@
 
 #include "core/proto.h"
 #include "fs/wire.h"
+#include "kvstore/faulty_kv.h"
+#include "net/fault.h"
 
 namespace loco::core {
 namespace {
@@ -126,6 +128,28 @@ TEST_F(DmsTest, DirentListTracksChildren) {
   const auto entries = Readdir("/d");
   ASSERT_EQ(entries.size(), 4u);
   for (const auto& e : entries) EXPECT_NE(e.name, "s2");
+}
+
+TEST(DmsFaultTest, FailedDirentAppendRollsBackMkdir) {
+  // Fault only the dirent store (decorated second, after the d-inodes).
+  auto spec = net::FaultSpec::Parse("kv_put_fail=1,seed=5");
+  ASSERT_TRUE(spec.ok());
+  net::FaultInjector injector(*spec);
+  DirectoryMetadataServer::Options options;
+  options.kv_decorator = [&injector, n = 0](std::unique_ptr<kv::Kv> inner) mutable
+      -> std::unique_ptr<kv::Kv> {
+    if (n++ != 1) return inner;
+    return std::make_unique<kv::FaultyKv>(std::move(inner), &injector);
+  };
+  DirectoryMetadataServer dms(options);
+  EXPECT_EQ(dms.Handle(proto::kDmsMkdir,
+                       fs::Pack(std::string("/d"), 0755u, kAlice, std::uint64_t{1}))
+                .code,
+            ErrCode::kIo);
+  // The d-inode written before the failed append is gone again.
+  EXPECT_EQ(dms.Handle(proto::kDmsStat, fs::Pack(std::string("/d"), kAlice)).code,
+            ErrCode::kNotFound);
+  EXPECT_FALSE(dms.dir_kv().Contains("/d"));
 }
 
 TEST_F(DmsTest, ChmodPatchesWithoutRewrite) {

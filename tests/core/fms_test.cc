@@ -7,6 +7,8 @@
 
 #include "core/proto.h"
 #include "fs/wire.h"
+#include "kvstore/faulty_kv.h"
+#include "net/fault.h"
 #include "net/wire.h"
 
 namespace loco::core {
@@ -298,6 +300,31 @@ TEST_P(FmsModeTest, MalformedBatchEnvelopeIsCorruption) {
   oversized += "junk";
   EXPECT_EQ(fms_.Handle(proto::kFmsBatchStat, oversized).code,
             ErrCode::kCorruption);
+}
+
+TEST_P(FmsModeTest, FailedDirentAppendRollsBackInode) {
+  // Fault only the dirent store, which the FMS decorates last.
+  auto spec = net::FaultSpec::Parse("kv_put_fail=1,seed=5");
+  ASSERT_TRUE(spec.ok());
+  net::FaultInjector injector(*spec);
+  FileMetadataServer::Options options = MakeOptions(GetParam());
+  const int dirent_store = GetParam() ? 2 : 1;
+  options.kv_decorator = [&injector, dirent_store, n = 0](
+                             std::unique_ptr<kv::Kv> inner) mutable
+      -> std::unique_ptr<kv::Kv> {
+    if (n++ != dirent_store) return inner;
+    return std::make_unique<kv::FaultyKv>(std::move(inner), &injector);
+  };
+  FileMetadataServer fms(options);
+  EXPECT_EQ(fms.Handle(proto::kFmsCreate,
+                       fs::Pack(kDir, std::string("f"), 0644u, kAlice,
+                                std::uint64_t{1}))
+                .code,
+            ErrCode::kIo);
+  // The inode written before the failed append is gone again.
+  EXPECT_EQ(fms.FileCount(), 0u);
+  EXPECT_EQ(fms.Handle(proto::kFmsGetAttr, fs::Pack(kDir, std::string("f"))).code,
+            ErrCode::kNotFound);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, FmsModeTest, ::testing::Bool(),

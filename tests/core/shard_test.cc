@@ -183,6 +183,49 @@ TEST_F(RenameTwoPhaseTest, FullTransferMovesSubtreeAndClearsIntents) {
                   .ok());
 }
 
+TEST_F(RenameTwoPhaseTest, TombstonedDirentListsTransferIntact) {
+  ASSERT_TRUE(Mkdir(&src_, "/a").ok());
+  ASSERT_TRUE(Mkdir(&src_, "/a/s").ok());
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(Mkdir(&src_, "/a/s/k" + std::to_string(i)).ok());
+    ASSERT_TRUE(Mkdir(&src_, "/a/s/k0/g" + std::to_string(i)).ok());
+  }
+  // Removes from wide lists append tombstones rather than rewriting them.
+  auto rmdir = [this](const std::string& path) {
+    return src_.Handle(proto::kDmsRmdir, fs::Pack(path, kAlice, std::uint8_t{1}));
+  };
+  ASSERT_TRUE(rmdir("/a/s/k1").ok());
+  ASSERT_TRUE(rmdir("/a/s/k3").ok());
+  ASSERT_TRUE(rmdir("/a/s/k0/g4").ok());
+  ASSERT_TRUE(Mkdir(&src_, "/a/s/k3").ok());  // re-added after its tombstone
+  ASSERT_TRUE(Mkdir(&dst_, "/b").ok());
+  const std::vector<fs::DirEntry> children = Readdir(&src_, "/a/s");
+  const std::vector<fs::DirEntry> grandchildren = Readdir(&src_, "/a/s/k0");
+  ASSERT_EQ(children.size(), 5u);
+  ASSERT_EQ(grandchildren.size(), 5u);
+
+  auto prep = Prepare(17, "/a/s", "/b/s");
+  ASSERT_TRUE(prep.ok());
+  std::vector<std::string> entries;
+  ASSERT_TRUE(fs::Unpack(prep.payload, entries));
+  ASSERT_TRUE(Commit(17, "/b/s", entries).ok());
+
+  auto names = [](const std::vector<fs::DirEntry>& list) {
+    std::vector<std::string> out;
+    for (const auto& e : list) out.push_back(e.name);
+    return out;
+  };
+  EXPECT_EQ(names(Readdir(&dst_, "/b/s")), names(children));
+  EXPECT_EQ(names(Readdir(&dst_, "/b/s/k0")), names(grandchildren));
+  // The moved lists keep working: a remove and an add at the destination.
+  ASSERT_TRUE(dst_.Handle(proto::kDmsRmdir,
+                          fs::Pack(std::string("/b/s/k4"), kAlice, std::uint8_t{1}))
+                  .ok());
+  ASSERT_TRUE(Mkdir(&dst_, "/b/s/k9").ok());
+  EXPECT_EQ(names(Readdir(&dst_, "/b/s")),
+            (std::vector<std::string>{"k0", "k2", "k5", "k3", "k9"}));
+}
+
 TEST_F(RenameTwoPhaseTest, PreparedSubtreeIsLockedAgainstMutation) {
   ASSERT_TRUE(Mkdir(&src_, "/a").ok());
   ASSERT_TRUE(Mkdir(&src_, "/a/s").ok());

@@ -55,7 +55,7 @@ class Table1Test : public ::testing::Test {
   }
 
   static std::uint64_t Writes(const kv::KvStats& s) {
-    return s.puts + s.patches + s.deletes;
+    return s.puts + s.patches + s.appends + s.deletes;
   }
   static std::uint64_t Touches(const kv::KvStats& s) {
     return s.gets + Writes(s) + s.scans;

@@ -1,6 +1,7 @@
-// kv::FaultyKv — the fault-plane KV decorator (docs/FAULTS.md).  Writes fail
-// per the injector's kv_put_fail= / kv_fail_after= knobs with kIo; reads,
-// deletes and scans always pass through to the wrapped store.
+// kv::FaultyKv — the fault-plane KV decorator (docs/FAULTS.md).  Writes
+// (Put, PatchValue, Append) fail per the injector's kv_put_fail= /
+// kv_fail_after= knobs with kIo; reads, deletes and scans always pass
+// through to the wrapped store.
 #include <memory>
 #include <string>
 #include <vector>
@@ -75,6 +76,31 @@ TEST(FaultyKvTest, PatchValueObeysFaultPlane) {
 
   EXPECT_TRUE(kv->ReadValueAt("k", 2, 3, &value).ok());
   EXPECT_EQ(value, "234");
+}
+
+TEST(FaultyKvTest, AppendObeysFaultPlane) {
+  std::unique_ptr<net::FaultInjector> injector;
+  auto kv = MakeFaulty("kv_put_fail=1,seed=3", &injector);
+  ASSERT_TRUE(kv->inner()->Put("k", "abc").ok());
+
+  EXPECT_EQ(kv->Append("k", "def").code(), ErrCode::kIo);
+  EXPECT_EQ(kv->Append("new", "x").code(), ErrCode::kIo);
+  std::string value;
+  ASSERT_TRUE(kv->Get("k", &value).ok());
+  EXPECT_EQ(value, "abc");  // append never reached the store
+  EXPECT_FALSE(kv->Contains("new"));
+  EXPECT_EQ(kv->inner()->stats().appends, 0u);
+}
+
+TEST(FaultyKvTest, AppendsCountTowardFailAfter) {
+  std::unique_ptr<net::FaultInjector> injector;
+  auto kv = MakeFaulty("kv_fail_after=2,seed=3", &injector);
+  EXPECT_TRUE(kv->Put("inode", "i").ok());
+  EXPECT_TRUE(kv->Append("dirent", "a").ok());
+  EXPECT_EQ(kv->Append("dirent", "b").code(), ErrCode::kIo);
+  std::string value;
+  ASSERT_TRUE(kv->Get("dirent", &value).ok());
+  EXPECT_EQ(value, "a");
 }
 
 TEST(FaultyKvTest, FailAfterTearsMultiKeySequence) {

@@ -3,12 +3,17 @@
 // interface and may be configured with any backend).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 
 #include "common/rng.h"
 #include "kvstore/kv.h"
+#include "kvstore/striped_kv.h"
 
 namespace loco::kv {
 namespace {
@@ -161,6 +166,121 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, KvConformanceTest,
                          [](const ::testing::TestParamInfo<KvBackend>& info) {
                            return std::string(KvBackendName(info.param));
                          });
+
+// Kv::Append across every store kind, in memory and across a reopen.  Hash
+// and btree append in place and log one append record; striped forwards to
+// its stripe; lsm takes the base Get+Put default.
+struct AppendStore {
+  const char* name;
+  std::function<Result<std::unique_ptr<Kv>>(const KvOptions&)> make;
+  const char* wal;  // the log holding the test key, relative to options.dir
+};
+
+class KvAppendTest : public ::testing::TestWithParam<AppendStore> {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("kvappend_" + std::to_string(::getpid()) + "_" + GetParam().name);
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::unique_ptr<Kv> Open(bool persistent) {
+    KvOptions options;
+    if (persistent) options.dir = dir_.string();
+    auto made = GetParam().make(options);
+    EXPECT_TRUE(made.ok());
+    return std::move(made).value();
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_P(KvAppendTest, MissingKeyIsCreatedHoldingTheSuffix) {
+  auto kv = Open(false);
+  ASSERT_TRUE(kv->Append("k", "abc").ok());
+  std::string v;
+  ASSERT_TRUE(kv->Get("k", &v).ok());
+  EXPECT_EQ(v, "abc");
+  EXPECT_EQ(kv->Size(), 1u);
+  ASSERT_TRUE(kv->Append("empty", "").ok());
+  ASSERT_TRUE(kv->Get("empty", &v).ok());
+  EXPECT_EQ(v, "");
+}
+
+TEST_P(KvAppendTest, AppendExtendsTheStoredValue) {
+  auto kv = Open(false);
+  ASSERT_TRUE(kv->Put("k", "head").ok());
+  const KvStats before = kv->stats();
+  ASSERT_TRUE(kv->Append("k", "-tail").ok());
+  ASSERT_TRUE(kv->Append("k", std::string("\0\xff", 2)).ok());
+  std::string v;
+  ASSERT_TRUE(kv->Get("k", &v).ok());
+  EXPECT_EQ(v, std::string("head-tail\0\xff", 11));
+  EXPECT_EQ((kv->stats() - before).appends, 2u);
+  EXPECT_EQ(kv->Size(), 1u);
+}
+
+TEST_P(KvAppendTest, AppendsReplayAfterReopen) {
+  {
+    auto kv = Open(true);
+    ASSERT_TRUE(kv->Append("a", "1").ok());  // creates
+    ASSERT_TRUE(kv->Append("a", "23").ok());
+    ASSERT_TRUE(kv->Put("b", "x").ok());
+    ASSERT_TRUE(kv->Append("b", "y").ok());
+    ASSERT_TRUE(kv->Delete("b").ok());
+    ASSERT_TRUE(kv->Append("b", "z").ok());  // re-created after the delete
+  }
+  auto kv = Open(true);
+  std::string v;
+  ASSERT_TRUE(kv->Get("a", &v).ok());
+  EXPECT_EQ(v, "123");
+  ASSERT_TRUE(kv->Get("b", &v).ok());
+  EXPECT_EQ(v, "z");
+  EXPECT_EQ(kv->Size(), 2u);
+}
+
+TEST_P(KvAppendTest, TornLastRecordDropsOnlyThatAppend) {
+  {
+    auto kv = Open(true);
+    ASSERT_TRUE(kv->Put("k", "base").ok());
+    ASSERT_TRUE(kv->Append("k", "+one").ok());
+    ASSERT_TRUE(kv->Append("k", "+two").ok());
+  }
+  const std::filesystem::path wal = dir_ / GetParam().wal;
+  ASSERT_TRUE(std::filesystem::exists(wal));
+  std::filesystem::resize_file(wal, std::filesystem::file_size(wal) - 1);
+  auto kv = Open(true);
+  std::string v;
+  ASSERT_TRUE(kv->Get("k", &v).ok());
+  EXPECT_EQ(v, "base+one");
+  // The store keeps appending after the torn tail was dropped.
+  ASSERT_TRUE(kv->Append("k", "+three").ok());
+  ASSERT_TRUE(kv->Get("k", &v).ok());
+  EXPECT_EQ(v, "base+one+three");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStores, KvAppendTest,
+    ::testing::Values(
+        AppendStore{"hash",
+                    [](const KvOptions& o) { return MakeKv(KvBackend::kHash, o); },
+                    "hashkv.wal"},
+        AppendStore{"btree",
+                    [](const KvOptions& o) { return MakeKv(KvBackend::kBTree, o); },
+                    "btreekv.wal"},
+        AppendStore{"lsm",
+                    [](const KvOptions& o) { return MakeKv(KvBackend::kLsm, o); },
+                    "lsmkv.wal"},
+        AppendStore{"striped",
+                    [](const KvOptions& o) {
+                      return MakeStripedKv(KvBackend::kHash, o, 1);
+                    },
+                    "stripe0/hashkv.wal"}),
+    [](const ::testing::TestParamInfo<AppendStore>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace loco::kv

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <string>
@@ -193,6 +194,46 @@ TEST(StripedKvStressTest, ConcurrentMixedOpsLoseNoUpdates) {
   const KvStats stats = kv->stats();
   EXPECT_EQ(stats.puts, std::uint64_t(kThreads) * kKeysPerThread);
   EXPECT_EQ(stats.patches, std::uint64_t(kThreads) * kKeysPerThread);
+}
+
+TEST(StripedKvStressTest, ConcurrentAppendsToSharedKeysLoseNothing) {
+  auto kv = MustMake(KvBackend::kHash, {}, 4);
+  constexpr int kThreads = 8;
+  constexpr int kAppendsPerThread = 300;
+  constexpr int kKeys = 6;  // shared by every thread: appends race per key
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&kv, &failures, t] {
+      const std::string token(1, static_cast<char>('a' + t));
+      for (int i = 0; i < kAppendsPerThread; ++i) {
+        if (!kv->Append("key" + std::to_string(i % kKeys), token).ok()) {
+          failures.fetch_add(1);
+        }
+        if (i % 50 == 0) {
+          std::string v;
+          (void)kv->Get("key0", &v);
+          (void)kv->stats();
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // Every append landed exactly once: each key holds each thread's token
+  // kAppendsPerThread / kKeys times.
+  for (int k = 0; k < kKeys; ++k) {
+    std::string v;
+    ASSERT_TRUE(kv->Get("key" + std::to_string(k), &v).ok());
+    EXPECT_EQ(v.size(), std::size_t(kThreads) * kAppendsPerThread / kKeys);
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(std::count(v.begin(), v.end(), static_cast<char>('a' + t)),
+                kAppendsPerThread / kKeys)
+          << "key" << k << " thread " << t;
+    }
+  }
+  EXPECT_EQ(kv->stats().appends, std::uint64_t(kThreads) * kAppendsPerThread);
 }
 
 }  // namespace

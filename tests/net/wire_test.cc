@@ -281,26 +281,6 @@ TEST(PinnedReaderTest, PinKeepsPayloadAliveAfterReaderMovesOn) {
   EXPECT_EQ(held->payload, first_payload);
 }
 
-TEST(PinnedReaderTest, AppendPathMatchesRecvPath) {
-  // Bytes received into a foreign buffer ingest via Append; decode must
-  // behave exactly as for bytes received in place (RecvInto/Commit).
-  PinnedFrameReader reader(kMaxPayloadBytes, /*chunk_bytes=*/512);
-  const std::string bytes = EncodeFrame(RequestHeader(9, 5, 3), "via-append") +
-                            EncodeFrame(RequestHeader(10, 6, 3),
-                                        std::string(900, 'q'));
-  for (std::size_t i = 0; i < bytes.size(); i += 128) {
-    reader.Append(std::string_view(bytes).substr(i, 128));
-  }
-  auto a = reader.Next();
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(a->payload, "via-append");
-  auto b = reader.Next();
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->payload, std::string(900, 'q'));
-  EXPECT_FALSE(reader.Next().has_value());
-  EXPECT_EQ(reader.buffered(), 0u);
-}
-
 TEST(PinnedReaderTest, OversizedPayloadLatchesCorruption) {
   PinnedFrameReader reader(/*max_payload=*/1024);
   std::string bytes = EncodeFrame(RequestHeader(1, 1, 1), "");
